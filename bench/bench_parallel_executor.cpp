@@ -3,9 +3,12 @@
 // separately — the reference executor at N threads gets intra-op
 // parallelism only (kernels on the pool), while ParallelExecutor also
 // schedules independent branches concurrently through its dependency
-// table. The determinism contract is checked alongside the timing: an
-// FNV-1a checksum over all outputs and gradients must be identical across
-// every executor/thread-count combination.
+// table. The compiled plan engine (PlanExecutor) gets the same two rows:
+// serial steps with intra-op kernels, and ExecOptions::parallel, which
+// schedules the forward pass as a task graph (its backward stays serial).
+// The determinism contract is checked alongside the timing: an FNV-1a
+// checksum over all outputs and gradients must be identical across every
+// executor/thread-count combination.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -17,6 +20,7 @@
 #include "common.hpp"
 #include "core/rng.hpp"
 #include "core/threadpool.hpp"
+#include "frameworks/plan_executor.hpp"
 #include "graph/model.hpp"
 #include "graph/parallel_executor.hpp"
 #include "graph/visitor.hpp"
@@ -145,11 +149,24 @@ int run() {
       r.exec = std::make_unique<ReferenceExecutor>(build_network(m));
     return r;
   };
+  auto make_plan_row = [&](const std::string& label, int threads,
+                           bool inter_op) {
+    Row r;
+    r.label = label;
+    r.threads = threads;
+    ExecOptions o;
+    o.parallel = inter_op;
+    r.exec = std::make_unique<PlanExecutor>(build_network(m), label, o);
+    return r;
+  };
   std::vector<Row> rows;
   rows.push_back(make_row("reference (serial)", 1, false));
   rows.push_back(make_row("parallel, 1 thread", 1, true));
   rows.push_back(make_row("reference, intra-op only", par_threads, false));
   rows.push_back(make_row("parallel, intra+inter-op", par_threads, true));
+  rows.push_back(make_plan_row("plan, intra-op only", par_threads, false));
+  rows.push_back(
+      make_plan_row("plan{parallel}, intra+inter-op", par_threads, true));
 
   // Interleave the configurations round-robin: one timed step of each per
   // rerun, so background-load drift hits all rows equally instead of
@@ -190,6 +207,10 @@ int run() {
   std::cout << "speedup at " << par_threads
             << " threads: intra-op only " << Table::num(intra, 2)
             << "x, intra+inter-op " << Table::num(full, 2) << "x\n";
+  std::cout << "plan engine at " << par_threads << " threads: intra-op only "
+            << Table::num(serial / summaries[4].median, 2)
+            << "x, parallel forward "
+            << Table::num(serial / summaries[5].median, 2) << "x\n";
   const bool deterministic = std::all_of(
       rows.begin(), rows.end(),
       [&](const Row& r) { return r.checksum == rows[0].checksum; });

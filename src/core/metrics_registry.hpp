@@ -140,6 +140,9 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void record(double v);
+  /// Allocates the calling thread's shard now, so that its first record()
+  /// (perhaps in a step that must not allocate) does not.
+  void prepare_thread() { (void)shard(); }
 
   HistogramSnapshot snapshot() const;
   /// Arbitrary-quantile convenience over a fresh shard merge: lets callers

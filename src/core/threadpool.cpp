@@ -1,9 +1,8 @@
 #include "core/threadpool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <memory>
+#include <exception>
 
 #include "core/error.hpp"
 #include "core/metrics_registry.hpp"
@@ -22,6 +21,12 @@ int env_thread_count() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+Histogram& queue_wait_histogram() {
+  static Histogram& h =
+      MetricsRegistry::instance().histogram("pool.queue_wait_ns");
+  return h;
+}
+
 }  // namespace
 
 ThreadPool& ThreadPool::instance() {
@@ -29,247 +34,199 @@ ThreadPool& ThreadPool::instance() {
   return pool;
 }
 
-ThreadPool::ThreadPool(int threads) { start_workers(threads); }
+ThreadPool::ThreadPool(int threads) : ring_(64) { reset(threads); }
 
-ThreadPool::~ThreadPool() { stop_workers(); }
+ThreadPool::~ThreadPool() { reset(1); }  // joins every worker
 
-void ThreadPool::start_workers(int threads) {
+void ThreadPool::reset(int threads) {
   D500_CHECK_MSG(threads >= 1, "thread pool needs >= 1 thread");
-  // threads counts the calling thread; workers are the rest.
-  workers_.reserve(static_cast<std::size_t>(threads - 1));
-  for (int i = 0; i < threads - 1; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-void ThreadPool::stop_workers() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard lock(mu_);
     stopping_ = true;
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  stopping_ = false;
-  queue_.clear();
+  {
+    std::lock_guard lock(mu_);
+    stopping_ = false;
+    head_ = size_ = 0;
+  }
+  // threads counts the calling thread; workers are the rest. Wait until all
+  // are up, so none does its one-time setup inside a later step.
+  Latch started(threads - 1);
+  workers_.reserve(static_cast<std::size_t>(threads - 1));
+  for (int i = 0; i < threads - 1; ++i)
+    workers_.emplace_back([this, &started] {
+      if (metrics_enabled()) queue_wait_histogram().prepare_thread();
+      count_down(started);
+      serve(nullptr, /*run_jobs=*/true);
+    });
+  wait(started, /*run_jobs=*/false);
 }
 
-void ThreadPool::reset(int threads) {
-  stop_workers();
-  start_workers(threads);
-}
-
-void ThreadPool::enqueue(std::function<void()> job) {
+void ThreadPool::submit(JobFn fn, void* ctx, std::int64_t arg, Latch* latch,
+                        int copies) {
   // Stamp the enqueue time only when someone will look at it: the
   // dequeue side samples "pool.queue_wait_ns" from the delta.
-  const std::int64_t enq =
-      metrics_enabled() ? metrics_detail::now_ns() : 0;
+  const std::int64_t enq = metrics_enabled() ? metrics_detail::now_ns() : 0;
+  bool wake_one;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(Job{std::move(job), enq});
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::record_queue_wait(std::int64_t enq_ns) {
-  if (enq_ns == 0 || !metrics_enabled()) return;
-  static Histogram& h =
-      MetricsRegistry::instance().histogram("pool.queue_wait_ns");
-  h.record(static_cast<double>(metrics_detail::now_ns() - enq_ns));
-}
-
-void ThreadPool::notify() { cv_.notify_all(); }
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    Job job;
-    {
-      // The idle span brackets the cv wait; declared before the lock so its
-      // end record is emitted after the unlock (off the contended path).
-      TraceSpan idle("threadpool", "idle");
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    record_queue_wait(job.enq_ns);
-    D500_TRACE_SCOPE("threadpool", "task");
-    job.fn();
-  }
-}
-
-void ThreadPool::help_while(const std::function<bool()>& done) {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stopping_ || done() || !queue_.empty(); });
-      if (stopping_ || done()) {
-        // Pass the baton: if jobs remain, make sure a worker (or another
-        // helper) is woken to take the one our notify consumed.
-        if (!queue_.empty()) cv_.notify_one();
-        return;
+    std::lock_guard lock(mu_);
+    // A thread that waits without running jobs would swallow the single
+    // wake-up meant for a worker.
+    wake_one = copies == 1 && sleepers_ == 0;
+    if (latch) latch->count_.fetch_add(copies, std::memory_order_relaxed);
+    for (int i = 0; i < copies; ++i) {
+      if (size_ == ring_.size()) {
+        // A new high-water mark: double the ring, unrolled from head_.
+        std::vector<Job> bigger(ring_.size() * 2);
+        for (std::size_t k = 0; k < size_; ++k) bigger[k] = slot(k);
+        ring_.swap(bigger);
+        head_ = 0;
       }
-      job = std::move(queue_.front());
-      queue_.pop_front();
+      slot(size_++) = Job{fn, ctx, arg, latch, enq};
     }
-    record_queue_wait(job.enq_ns);
-    D500_TRACE_SCOPE("threadpool", "task");
-    job.fn();
   }
+  wake_one ? cv_.notify_one() : cv_.notify_all();
+}
+
+void ThreadPool::retract(const void* ctx) {
+  std::unique_lock lock(mu_);
+  bool zero = false;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < size_; ++k) {
+    const Job job = slot(k);
+    if (job.ctx != ctx) {
+      slot(kept++) = job;
+    } else if (job.latch) {
+      zero |= job.latch->count_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    }
+  }
+  size_ = kept;
+  lock.unlock();
+  if (zero) cv_.notify_all();
+}
+
+void ThreadPool::count_down(Latch& latch) {
+  std::unique_lock lock(mu_);
+  if (latch.count_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  lock.unlock();  // first, so the woken waiters do not block on mu_ again
+  cv_.notify_all();
+}
+
+void ThreadPool::wait(Latch& latch, bool run_jobs) {
+  if (!latch.done()) serve(&latch, run_jobs);
+}
+
+void ThreadPool::serve(Latch* until, bool run_jobs) {
+  std::unique_lock lock(mu_);
+  while (until ? until->count_.load(std::memory_order_relaxed) != 0
+               : !stopping_) {
+    if (!run_jobs || size_ == 0) {
+      TraceSpan idle("threadpool", "idle");
+      sleepers_ += !run_jobs;
+      cv_.wait(lock);
+      sleepers_ -= !run_jobs;
+      continue;
+    }
+    const Job job = slot(0);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+    lock.unlock();
+    if (job.enq_ns != 0 && metrics_enabled())
+      queue_wait_histogram().record(
+          static_cast<double>(metrics_detail::now_ns() - job.enq_ns));
+    {
+      D500_TRACE_SCOPE("threadpool", "task");
+      job.fn(job.ctx, job.arg);
+    }
+    if (job.latch) count_down(*job.latch);
+    lock.lock();
+  }
+  // Pass on a submit's wake-up that landed here but took no job.
+  if (run_jobs && size_ > 0) cv_.notify_one();
 }
 
 namespace {
 
-/// Shared state of one parallel_for call. Chunks are claimed under the
-/// mutex; the decomposition itself (nchunks, bounds) is fixed up front.
-struct LoopState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::int64_t next = 0;  // next unclaimed chunk
-  std::int64_t nchunks = 0;
-  int in_flight = 0;  // chunks currently executing
-  bool error = false;
-  std::exception_ptr eptr;
+/// One parallel_for call, on the caller's stack. Chunks are claimed with
+/// one atomic counter; the decomposition itself is fixed up front.
+struct Loop {
+  detail::ChunkFn body;
+  void* fn;
+  std::int64_t begin, end, grain, nchunks;
+  std::atomic<std::int64_t> next{0};  // next unclaimed chunk
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};  // written once, by whoever set `failed`
 };
 
 /// Claims and runs chunks until none remain (or an error aborts the loop).
-/// Takes `fn` by pointer: stale helper jobs may run after the owning
-/// parallel_for call returned, and must not even bind a dangling reference
-/// (they find no chunks left and never dereference it).
-void run_chunks(LoopState& st, std::int64_t begin, std::int64_t end,
-                std::int64_t grain,
-                const std::function<void(std::int64_t, std::int64_t)>* fn) {
-  for (;;) {
-    std::int64_t c;
-    {
-      std::lock_guard<std::mutex> lock(st.mu);
-      if (st.error || st.next >= st.nchunks) return;
-      c = st.next++;
-      ++st.in_flight;
-    }
+void run_chunks(void* ctx, std::int64_t) {
+  Loop& loop = *static_cast<Loop*>(ctx);
+  while (!loop.failed.load(std::memory_order_relaxed)) {
+    const std::int64_t c = loop.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= loop.nchunks) return;
+    const std::int64_t lo = loop.begin + c * loop.grain;
     try {
-      const std::int64_t lo = begin + c * grain;
-      (*fn)(lo, std::min(lo + grain, end));
+      loop.body(loop.fn, lo, std::min(lo + loop.grain, loop.end));
     } catch (...) {
-      std::lock_guard<std::mutex> lock(st.mu);
-      if (!st.error) {
-        st.error = true;
-        st.eptr = std::current_exception();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(st.mu);
-      --st.in_flight;
-      if (st.in_flight == 0 && (st.error || st.next >= st.nchunks))
-        st.cv.notify_all();
+      if (!loop.failed.exchange(true)) loop.error = std::current_exception();
     }
   }
 }
 
 }  // namespace
 
-void detail::parallel_for_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void detail::parallel_for_impl(std::int64_t begin, std::int64_t end,
+                               std::int64_t grain, ChunkFn body, void* fn) {
   // The template wrapper (threadpool.hpp) handled the empty and serial
   // cases; here the range is non-empty, grain >= 1, and the pool has
   // workers to fan out to.
-  const std::int64_t g = grain;
-  const std::int64_t nchunks = (end - begin + g - 1) / g;
   ThreadPool& pool = ThreadPool::instance();
-  auto st = std::make_shared<LoopState>();
-  st->nchunks = nchunks;
-  const int helpers = static_cast<int>(std::min<std::int64_t>(
-      nchunks - 1, pool.num_threads() - 1));
-  const auto* fnp = &fn;
-  for (int h = 0; h < helpers; ++h)
-    pool.enqueue([st, begin, end, g, fnp]() {
-      // `*fnp` stays alive while chunks remain: the caller blocks below
-      // until every claimed chunk finishes; helpers that arrive after that
-      // find no chunks to claim and never dereference fnp.
-      run_chunks(*st, begin, end, g, fnp);
-    });
-
-  run_chunks(*st, begin, end, g, &fn);
-  {
-    std::unique_lock<std::mutex> lock(st->mu);
-    st->cv.wait(lock, [&] {
-      return st->in_flight == 0 && (st->error || st->next >= st->nchunks);
-    });
-    if (st->eptr) std::rethrow_exception(st->eptr);
-  }
+  Loop loop{body, fn, begin, end, grain, (end - begin + grain - 1) / grain};
+  Latch helpers;
+  pool.submit(&run_chunks, &loop, 0, &helpers,
+              static_cast<int>(std::min<std::int64_t>(
+                  loop.nchunks - 1, pool.num_threads() - 1)));
+  run_chunks(&loop, 0);
+  // Every chunk is claimed. Helpers still queued would find nothing to do:
+  // take them back, and wait only for the ones already running. Kernels
+  // hand their helpers this thread's thread_local buffers, so no other job
+  // may run here until those helpers are done.
+  pool.retract(&loop);
+  pool.wait(helpers, /*run_jobs=*/false);
+  if (loop.error) std::rethrow_exception(loop.error);
 }
 
 namespace {
 
-struct GraphState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<int> deps;
-  const std::vector<std::vector<int>>* unblocks = nullptr;
-  const std::function<void(int)>* fn = nullptr;
-  std::size_t completed = 0;
-  std::size_t total = 0;
-  int outstanding = 0;  // enqueued task closures not yet finished
-  bool error = false;
-  std::exception_ptr eptr;
-  std::atomic<bool> finished{false};
+/// One run_task_graph call, on the caller's stack.
+struct Graph {
+  const std::vector<std::vector<int>>& unblocks;
+  std::vector<int>& deps;  // decremented through std::atomic_ref
+  const std::function<void(int)>& fn;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};  // written once, by whoever set `failed`
+  Latch tasks{0};            // queued or running tasks
 };
 
-void run_graph_task(const std::shared_ptr<GraphState>& st, int i);
-
-void launch_graph_tasks(const std::shared_ptr<GraphState>& st,
-                        const std::vector<int>& ready) {
-  for (int r : ready)
-    ThreadPool::instance().enqueue([st, r] { run_graph_task(st, r); });
-}
-
-void run_graph_task(const std::shared_ptr<GraphState>& st, int i) {
-  bool skip;
-  {
-    std::lock_guard<std::mutex> lock(st->mu);
-    skip = st->error;
+void run_graph_task(void* ctx, std::int64_t arg) {
+  Graph& g = *static_cast<Graph*>(ctx);
+  const auto i = static_cast<std::size_t>(arg);
+  if (g.failed.load(std::memory_order_relaxed)) return;
+  try {
+    g.fn(static_cast<int>(i));
+  } catch (...) {
+    if (!g.failed.exchange(true)) g.error = std::current_exception();
+    return;
   }
-  if (!skip) {
-    try {
-      (*st->fn)(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(st->mu);
-      if (!st->error) {
-        st->error = true;
-        st->eptr = std::current_exception();
-      }
-    }
-  }
-
-  std::vector<int> ready;
-  bool finished = false;
-  {
-    std::lock_guard<std::mutex> lock(st->mu);
-    ++st->completed;
-    if (!st->error)
-      for (int c : (*st->unblocks)[static_cast<std::size_t>(i)])
-        if (--st->deps[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
-    st->outstanding += static_cast<int>(ready.size()) - 1;
-    if (st->outstanding == 0) {
-      // Nothing running or queued: either the DAG is done, aborted on
-      // error, or (defensively) stalled on a cycle.
-      if (!st->error && st->completed != st->total) {
-        st->error = true;
-        st->eptr = std::make_exception_ptr(
-            Error("run_task_graph: dependency graph stalled (cycle?)"));
-      }
-      finished = true;
-    }
-  }
-  launch_graph_tasks(st, ready);
-  if (finished) {
-    st->finished.store(true, std::memory_order_release);
-    st->cv.notify_all();
-    ThreadPool::instance().notify();
-  }
+  // Successors are counted into g.tasks before this task is counted out,
+  // so the latch cannot reach zero while work remains.
+  for (int c : g.unblocks[i])
+    if (std::atomic_ref<int>(g.deps[static_cast<std::size_t>(c)])
+            .fetch_sub(1, std::memory_order_acq_rel) == 1)
+      ThreadPool::instance().submit(&run_graph_task, &g, c, &g.tasks);
 }
 
 }  // namespace
@@ -282,46 +239,36 @@ void run_task_graph(const std::vector<std::vector<int>>& unblocks,
                  "run_task_graph: unblocks/deps size mismatch");
   if (n == 0) return;
 
+  std::vector<int> ready;
+  ready.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (deps[i] == 0) ready.push_back(static_cast<int>(i));
+
   ThreadPool& pool = ThreadPool::instance();
   if (pool.num_threads() == 1) {
     // Serial path: FIFO over ready tasks, seeded in index order — a fixed,
     // deterministic topological schedule.
-    std::deque<int> ready;
-    for (std::size_t i = 0; i < n; ++i)
-      if (deps[i] == 0) ready.push_back(static_cast<int>(i));
-    std::size_t completed = 0;
-    while (!ready.empty()) {
-      const int i = ready.front();
-      ready.pop_front();
+    for (std::size_t k = 0; k < ready.size(); ++k) {
+      const int i = ready[k];
       fn(i);
-      ++completed;
       for (int c : unblocks[static_cast<std::size_t>(i)])
         if (--deps[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
     }
-    D500_CHECK_MSG(completed == n,
+    D500_CHECK_MSG(ready.size() == n,
                    "run_task_graph: dependency graph stalled (cycle?)");
     return;
   }
 
-  auto st = std::make_shared<GraphState>();
-  st->deps = std::move(deps);
-  st->unblocks = &unblocks;
-  st->fn = &fn;
-  st->total = n;
-  std::vector<int> roots;
-  for (std::size_t i = 0; i < n; ++i)
-    if (st->deps[i] == 0) roots.push_back(static_cast<int>(i));
-  D500_CHECK_MSG(!roots.empty(),
-                 "run_task_graph: no ready tasks (cycle?)");
-  st->outstanding = static_cast<int>(roots.size());
-  launch_graph_tasks(st, roots);
-
+  Graph g{unblocks, deps, fn};
+  for (int r : ready) pool.submit(&run_graph_task, &g, r, &g.tasks);
   // The calling thread works the pool queue (graph tasks and any nested
-  // parallel_for helpers) until the DAG drains.
-  pool.help_while(
-      [&] { return st->finished.load(std::memory_order_acquire); });
-  std::lock_guard<std::mutex> lock(st->mu);
-  if (st->eptr) std::rethrow_exception(st->eptr);
+  // parallel_for helpers) until nothing is queued or running.
+  pool.wait(g.tasks);
+  if (g.error) std::rethrow_exception(g.error);
+  // With no error, a task that never ran is one still waiting on a count.
+  D500_CHECK_MSG(
+      std::none_of(deps.begin(), deps.end(), [](int d) { return d > 0; }),
+      "run_task_graph: dependency graph stalled (cycle?)");
 }
 
 }  // namespace d500

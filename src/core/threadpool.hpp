@@ -13,22 +13,50 @@
 // partials in fixed chunk order, so results are bit-identical at any
 // D500_THREADS setting — including fully serial execution.
 //
+// Synchronization: the pool owns the only mutex and condition variable.
+// Every "wait until done" is a Latch counted down under that lock, so no
+// completion can fall between a waiter's check and its sleep.
+//
 // Knob: D500_THREADS = total compute threads (workers + the calling
 // thread). Default: hardware concurrency. 1 = fully serial, no workers.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace d500 {
 
+/// A count of outstanding work, changed only by the pool under its lock
+/// (submit counts jobs in, count_down counts one out) and awaited with
+/// ThreadPool::wait. Whoever counts it to zero touches it no further, so a
+/// latch can live on its waiter's stack.
+class Latch {
+ public:
+  explicit Latch(int count = 0) : count_(count) {}
+  Latch(const Latch&) = delete;  // queued jobs hold its address
+  Latch& operator=(const Latch&) = delete;
+
+  /// Lock-free completion poll: true once the count reached zero.
+  bool done() const { return count_.load(std::memory_order_acquire) == 0; }
+
+ private:
+  friend class ThreadPool;
+  std::atomic<int> count_;
+};
+
 class ThreadPool {
  public:
+  /// A queued job runs fn(ctx, arg). The pool owns nothing: the submitter
+  /// keeps `ctx` alive until the job has run or has been retracted.
+  using JobFn = void (*)(void* ctx, std::int64_t arg);
+
   /// The process-wide pool, created on first use with D500_THREADS threads.
   static ThreadPool& instance();
 
@@ -45,45 +73,64 @@ class ThreadPool {
   /// while parallel work is in flight.
   void reset(int threads);
 
-  /// Enqueues a job for a worker (or a help_while caller) to run. Jobs must
-  /// not block waiting for other jobs — schedulers built on the pool keep
-  /// the submitting thread working instead (see parallel_for).
-  void enqueue(std::function<void()> job);
+  /// Queues `copies` jobs fn(ctx, arg), each counted into `latch` (if any)
+  /// now and out when it returns or is retracted. Jobs must not throw, and
+  /// must block only through wait().
+  void submit(JobFn fn, void* ctx, std::int64_t arg, Latch* latch = nullptr,
+              int copies = 1);
 
-  /// Runs queued jobs on the calling thread until `done()` returns true,
-  /// sleeping while the queue is empty. `done` is evaluated under the pool
-  /// lock and must be cheap and lock-free (read atomics only). Wake a
-  /// blocked caller whose condition changed with notify().
-  void help_while(const std::function<bool()>& done);
+  /// Removes every queued, not yet started job whose context is `ctx`,
+  /// counting each out of its latch. Jobs already running are untouched.
+  void retract(const void* ctx);
 
-  /// Wakes help_while callers so they re-evaluate their condition.
-  void notify();
+  /// Counts one out of `latch`; at zero, wakes every sleeper.
+  void count_down(Latch& latch);
+
+  /// Blocks until `latch` reads zero, running queued jobs meanwhile if
+  /// `run_jobs` (so a pool without workers still makes progress). A caller
+  /// whose thread_local scratch is still in use by running helpers passes
+  /// false: a job run on this thread could reuse that scratch.
+  void wait(Latch& latch, bool run_jobs = true);
 
  private:
   explicit ThreadPool(int threads);
-  void start_workers(int threads);
-  void stop_workers();
-  void worker_loop();
+  /// The job loop of wait() and, with until == nullptr, of every worker.
+  void serve(Latch* until, bool run_jobs);
 
-  /// Queue entry: the job plus its enqueue timestamp, feeding the
+  /// Queue entry, plus its enqueue timestamp feeding the
   /// "pool.queue_wait_ns" histogram (0 when metrics are off — not sampled).
   struct Job {
-    std::function<void()> fn;
-    std::int64_t enq_ns = 0;
+    JobFn fn;
+    void* ctx;
+    std::int64_t arg;
+    Latch* latch;
+    std::int64_t enq_ns;
   };
-  static void record_queue_wait(std::int64_t enq_ns);
+  // The queue: a grow-only ring (capacity a power of two). mu_ held.
+  Job& slot(std::size_t k) { return ring_[(head_ + k) & (ring_.size() - 1)]; }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Job> queue_;
+  std::vector<Job> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  int sleepers_ = 0;  // threads in wait(run_jobs = false) on cv_
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
 
 namespace detail {
+/// Type-erased chunk body: calls (*static_cast<F*>(fn))(lo, hi).
+using ChunkFn = void (*)(void* fn, std::int64_t lo, std::int64_t hi);
+
+template <typename F>
+void call_chunk(void* fn, std::int64_t lo, std::int64_t hi) {
+  (*static_cast<F*>(fn))(lo, hi);
+}
+
 /// Multi-chunk, multi-thread body of parallel_for (threadpool.cpp).
 void parallel_for_impl(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                       const std::function<void(std::int64_t, std::int64_t)>& fn);
+                       ChunkFn body, void* fn);
 }  // namespace detail
 
 /// Deterministic parallel loop over [begin, end). The range is cut into
@@ -95,11 +142,9 @@ void parallel_for_impl(std::int64_t begin, std::int64_t end, std::int64_t grain,
 /// chunk order afterwards to stay deterministic. The first exception thrown
 /// by fn is rethrown on the calling thread after in-flight chunks drain.
 ///
-/// Templated so the serial path (one chunk, or a one-thread pool) calls the
-/// functor directly: capturing lambdas never convert to std::function — a
-/// conversion that heap-allocates past the ~16-byte SBO — keeping warm
-/// single-threaded steps allocation-free. The conversion is paid only when
-/// work actually fans out to the pool.
+/// The functor is passed by address through a trampoline, never converted
+/// to std::function, and the loop's state lives on the caller's stack: a
+/// warm fan-out allocates nothing at any thread count.
 template <typename Fn>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   Fn&& fn) {
@@ -115,7 +160,10 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
     }
     return;
   }
-  detail::parallel_for_impl(begin, end, g, fn);
+  using F = std::remove_reference_t<Fn>;
+  detail::parallel_for_impl(
+      begin, end, g, &detail::call_chunk<F>,
+      const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }
 
 /// Runs tasks 0..deps.size()-1 on the pool respecting a dependency DAG:

@@ -221,18 +221,21 @@ std::shared_ptr<SimMpi::CollectiveOp> SimMpi::join_collective(
     }
   }
   if (last) {
-    auto task = [op] {
-      complete_allreduce(*op);
-      op->done.store(true, std::memory_order_release);
-      ThreadPool::instance().notify();
-    };
+    op->self = op;
     if (scheduler) {
-      scheduler(std::move(task));
+      scheduler([ctx = op.get()] { run_completion(ctx, 0); });
     } else {
-      ThreadPool::instance().enqueue(std::move(task));
+      ThreadPool::instance().submit(&run_completion, op.get(), 0);
     }
   }
   return op;
+}
+
+void SimMpi::run_completion(void* ctx, std::int64_t) {
+  auto& op = *static_cast<CollectiveOp*>(ctx);
+  const std::shared_ptr<CollectiveOp> keep = std::move(op.self);
+  complete_allreduce(op);
+  ThreadPool::instance().count_down(op.complete);
 }
 
 void SimMpi::complete_allreduce(CollectiveOp& op) {
@@ -515,18 +518,15 @@ AllreduceRequest Communicator::iallreduce_sum(std::span<float> data, int tag) {
 void Communicator::wait(AllreduceRequest& req) {
   if (!req.op_) return;
   D500_TRACE_SCOPE("dist", "overlap_wait");
-  auto op = req.op_;
   // Work the shared pool queue while waiting: on a worker-less pool (1
   // thread) this is what actually runs the completion task, and on a busy
   // pool it turns wait time into useful compute.
-  ThreadPool::instance().help_while(
-      [&op] { return op->done.load(std::memory_order_acquire); });
+  ThreadPool::instance().wait(req.op_->complete);
   req.op_.reset();
 }
 
 bool Communicator::test(const AllreduceRequest& req) const {
-  return req.op_ == nullptr ||
-         req.op_->done.load(std::memory_order_acquire);
+  return req.op_ == nullptr || req.op_->complete.done();
 }
 
 }  // namespace d500

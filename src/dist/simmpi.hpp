@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/threadpool.hpp"
 #include "dist/fault.hpp"
 
 namespace d500 {
@@ -84,7 +85,9 @@ class SimMpi {
     int arrived = 0;
     std::size_t len = 0;                 // element count (all ranks equal)
     std::vector<std::span<float>> bufs;  // indexed by rank
-    std::atomic<bool> done{false};
+    Latch complete{1};  // counted down by the completion task
+    // Keeps the op alive until its completion task has run.
+    std::shared_ptr<CollectiveOp> self;
   };
 
   struct Message {
@@ -123,6 +126,8 @@ class SimMpi {
   /// Communicator::allreduce_sum_ring — then fan the chunk out to every
   /// buffer. Bit-identical to the blocking path by construction.
   static void complete_allreduce(CollectiveOp& op);
+  /// The completion task (ctx = the CollectiveOp): reduce, count down.
+  static void run_completion(void* ctx, std::int64_t);
 
   int size_;
   std::vector<Mailbox> mailboxes_;  // one per destination rank

@@ -19,15 +19,15 @@ const char* conv_backend_name(ConvBackend b) {
 }
 
 void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
-            const Conv2DParams& p, float* col) {
+            const Conv2DParams& p, float* col, std::int64_t row_stride) {
   const std::int64_t Ho = p.out_dim(H, p.kernel_h);
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
-  const std::int64_t spatial = Ho * Wo;
+  if (row_stride == 0) row_stride = Ho * Wo;
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < C; ++c) {
     for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++row) {
-        float* dst = col + row * spatial;
+        float* dst = col + row * row_stride;
         for (std::int64_t oh = 0; oh < Ho; ++oh) {
           const std::int64_t ih = oh * p.stride - p.pad + kh * p.dilation;
           if (ih < 0 || ih >= H) {
@@ -140,21 +140,12 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   // so the shared destination is passed as a plain pointer.
   float* const col_buf = col.data();
   // col layout: row r holds sample-major columns [n*spatial + s]. Samples
-  // lower into disjoint column slices, so they parallelise trivially.
+  // lower straight into disjoint column slices, so they parallelise
+  // trivially and need no per-thread scratch.
   parallel_for(0, N, 1, [&](std::int64_t lo, std::int64_t hi) {
-    // Lower each sample into a strided slice of the shared buffer via a
-    // per-sample contiguous scratch, then scatter rows. sample_col is
-    // deliberately the WORKER's own thread_local (private scratch).
-    thread_local std::vector<float> sample_col;
-    if (sample_col.size() < static_cast<std::size_t>(K) * spatial)
-      sample_col.resize(static_cast<std::size_t>(K) * spatial);
-    for (std::int64_t n = lo; n < hi; ++n) {
-      im2col(X.data() + n * C * H * W, C, H, W, p, sample_col.data());
-      for (std::int64_t r = 0; r < K; ++r)
-        std::memcpy(col_buf + (r * N + n) * spatial,
-                    sample_col.data() + r * spatial,
-                    static_cast<std::size_t>(spatial) * sizeof(float));
-    }
+    for (std::int64_t n = lo; n < hi; ++n)
+      im2col(X.data() + n * C * H * W, C, H, W, p, col_buf + n * spatial,
+             N * spatial);
   });
   // One GEMM: [F, K] x [K, N*spatial] -> [F, N*spatial] (filter-major), then
   // scatter into NCHW output with the bias added.

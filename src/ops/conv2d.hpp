@@ -90,9 +90,10 @@ class Conv2DOp : public CustomOperator {
 };
 
 /// im2col lowering: writes the [C*kh*kw, Ho*Wo] column matrix for one
-/// sample. Exposed for tests.
+/// sample, rows `row_stride` floats apart (0 = Ho*Wo, densely packed).
+/// Exposed for tests.
 void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
-            const Conv2DParams& p, float* col);
+            const Conv2DParams& p, float* col, std::int64_t row_stride = 0);
 
 /// Transposed scatter of im2col (accumulates into x_grad).
 void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,

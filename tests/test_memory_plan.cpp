@@ -439,10 +439,11 @@ TEST(MemoryPlanExecutor, StepViewsAreStableAndMatchBackprop) {
 // The headline guarantee: once compiled and warmed, a training step does
 // ZERO heap allocations — no tensor churn, no container growth, nothing.
 
-void check_zero_alloc_warm_steps(const Model& m, const char* label) {
+/// Heap allocations across 5 warm steps on a `threads`-thread pool.
+std::int64_t warm_step_allocs(const Model& m, int threads) {
   Trace::disable();  // deterministic gate state for the counted window
   Arena::instance().set_mode(ArenaMode::kArena);
-  ThreadPool::instance().reset(1);
+  ThreadPool::instance().reset(threads);
   const TensorMap feeds = model_feeds(m, 3);
   ExecOptions o;  // deferred engine, planner on, serial
   PlanExecutor ex(build_network(m), "zero-alloc", o);
@@ -451,9 +452,17 @@ void check_zero_alloc_warm_steps(const Model& m, const char* label) {
   const std::int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (int i = 0; i < 5; ++i) ex.step(feeds, "loss");
   const std::int64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0)
-      << label << ": " << (after - before)
-      << " heap allocations across 5 warm steps";
+  ThreadPool::instance().reset(1);
+  return after - before;
+}
+
+/// Serial steps and multi-thread fan-out alike: the pool's dispatch keeps
+/// its per-call state on the caller's stack.
+void check_zero_alloc_warm_steps(const Model& m, const char* label) {
+  for (int threads : {1, 2, 4})
+    EXPECT_EQ(warm_step_allocs(m, threads), 0)
+        << label << " @" << threads << "t: heap allocations across 5 warm "
+        << "steps";
 }
 
 TEST(MemoryPlanExecutor, WarmMlpStepsDoZeroHeapAllocations) {
@@ -462,6 +471,15 @@ TEST(MemoryPlanExecutor, WarmMlpStepsDoZeroHeapAllocations) {
 
 TEST(MemoryPlanExecutor, WarmLenetStepsDoZeroHeapAllocations) {
   check_zero_alloc_warm_steps(models::lenet(2, 1, 12, 12, 4, 12), "lenet");
+}
+
+TEST(MemoryPlanExecutor, WarmResnetStepAllocationsDoNotGrowWithThreads) {
+  // ResNet's fused conv/BN forward still allocates per call, serial or
+  // not; fanning its kernels out to the pool must add nothing on top.
+  const Model m = models::resnet(2, 3, 8, 8, 4, 4, 1, 13);
+  const std::int64_t serial = warm_step_allocs(m, 1);
+  for (int threads : {2, 4})
+    EXPECT_EQ(warm_step_allocs(m, threads), serial) << "@" << threads << "t";
 }
 
 }  // namespace

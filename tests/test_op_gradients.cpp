@@ -30,6 +30,10 @@ struct GradCase {
   double tol = 5e-2;
 };
 
+// Without this, gtest prints the case as raw object bytes, which include
+// heap pointers, so the ctest name would change on every build.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.label; }
+
 std::vector<Tensor> rand_tensors(Rng& rng, std::vector<Shape> shapes,
                                  float lo = -1.0f, float hi = 1.0f) {
   std::vector<Tensor> out;

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <random>
 
+#include "core/threadpool.hpp"
 #include "dist/simmpi.hpp"
 
 namespace d500 {
@@ -343,6 +344,28 @@ TEST(SimMpi, IallreduceFuzzAdversarialCompletionOrder) {
               << " i=" << i;
     });
   }
+}
+
+TEST(SimMpi, IallreduceWaitStressLosesNoWakeup) {
+  // Many short launch/wait pairs: each completion races its waiters'
+  // check-then-sleep. A completion published outside the pool lock can
+  // slip between the two and leave a rank asleep forever, so this test
+  // hangs (and the ctest TIMEOUT fails it) unless every wake-up lands.
+  const int pool_before = ThreadPool::instance().num_threads();
+  for (int threads : {1, 2}) {
+    ThreadPool::instance().reset(threads);
+    SimMpi world(2);
+    world.run([](Communicator& c) {
+      std::vector<float> v(4);
+      for (int it = 0; it < 40000; ++it) {
+        std::fill(v.begin(), v.end(), static_cast<float>(c.rank() + 1));
+        AllreduceRequest req = c.iallreduce_sum(v);
+        c.wait(req);
+        ASSERT_EQ(v[3], 3.0f) << "iteration " << it;
+      }
+    });
+  }
+  ThreadPool::instance().reset(pool_before);
 }
 
 TEST(SimMpi, WaitOnEmptyRequestIsNoop) {
