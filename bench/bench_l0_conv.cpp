@@ -7,8 +7,12 @@
 //  * runtime distribution over all sizes (violin-plot data: quartiles),
 //  * the highlighted size with median + 95% CI and CI-overlap verdicts,
 //  * E3: the L-inf norm between each framework's output and the Deep500
-//    reference implementation (paper §V-B: ~7e-4).
+//    reference implementation (paper §V-B: ~7e-4),
+//  * the backward pass (dX + dW + db) per size: GFLOP/s as a summary with
+//    CI, and whether it matches the per-sample naive-GEMM reference.
 // Results land in BENCH_conv.json.
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 
 #include "common.hpp"
@@ -46,6 +50,59 @@ ConvData make_data(const ConvSize& s, Rng& rng) {
   Conv2DOp probe(p);
   d.y = Tensor(probe.output_shapes({d.x.shape(), d.w.shape(), d.b.shape()})[0]);
   return d;
+}
+
+std::string size_label(const ConvSize& s) {
+  return "N" + std::to_string(s.N) + "C" + std::to_string(s.C) + "H" +
+         std::to_string(s.H) + "K" + std::to_string(s.K) + "R" +
+         std::to_string(s.R) + "s" + std::to_string(s.stride);
+}
+
+/// max |got - ref| / max(1, max |ref|): the normwise relative L-inf error.
+double rel_linf(const Tensor& got, const Tensor& ref) {
+  double err = 0, scale = 1;
+  for (std::int64_t i = 0; i < ref.elements(); ++i) {
+    err = std::max(err, static_cast<double>(std::fabs(got.at(i) - ref.at(i))));
+    scale = std::max(scale, static_cast<double>(std::fabs(ref.at(i))));
+  }
+  return err / scale;
+}
+
+struct BackwardResult {
+  SampleSummary gflops;  // per-call rate of one dX + dW + db backward
+  double rel_err = 0;    // worst rel_linf over dX, dW, db
+};
+
+/// Times Conv2DOp::backward (im2col backend) on random dY and checks it
+/// against conv2d_backward_reference.
+BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
+                                int reruns) {
+  const Conv2DParams p{s.R, s.R, s.stride, s.pad, 1};
+  Conv2DOp op(p);
+  op.forward({&d.x, &d.w, &d.b}, {&d.y});
+  Tensor dy(d.y.shape());
+  dy.fill_uniform(rng, -1, 1);
+  Tensor dx(d.x.shape()), dw(d.w.shape()), db(d.b.shape());
+  const ConstTensors gout{&dy}, fin{&d.x, &d.w, &d.b}, fout{&d.y};
+  const MutTensors gin{&dx, &dw, &db};
+  // dX and dW each cost one forward's multiply-adds; db one add per dY.
+  const double flops = 2.0 * static_cast<double>(op.forward_flops(
+                                 {d.x.shape(), d.w.shape(), d.b.shape()})) +
+                       static_cast<double>(dy.elements());
+  op.backward(gout, fin, fout, gin);  // warm-up: workspaces, page faults
+  std::vector<double> rates;
+  for (int r = 0; r < reruns; ++r) {
+    Timer t;
+    op.backward(gout, fin, fout, gin);
+    rates.push_back(flops / t.seconds() * 1e-9);
+  }
+  Tensor rx(d.x.shape()), rw(d.w.shape()), rb(d.b.shape());
+  conv2d_backward_reference(d.x, d.w, dy, p, &rx, &rw, &rb);
+  BackwardResult res;
+  res.gflops = summarize(rates);
+  res.rel_err =
+      std::max({rel_linf(dx, rx), rel_linf(dw, rw), rel_linf(db, rb)});
+  return res;
 }
 
 struct Series {
@@ -104,6 +161,23 @@ int run() {
     }
   }
 
+  // Backward (dX + dW + db) per size. Tolerance: the normwise relative
+  // L-inf error of each gradient stays within 1e-4 of the reference (the
+  // two sum the same products in different orders).
+  constexpr double kBwdTol = 1e-4;
+  BenchReport report("l0_conv");
+  Table bwd({"size", "backward GFLOP/s [95% CI]", "rel L-inf vs reference"});
+  bool bwd_matches = true;
+  for (const ConvSize& s : sizes) {
+    ConvData d = make_data(s, rng);
+    const BackwardResult r = measure_backward(s, d, rng, sweep_reruns);
+    bwd.add_row({size_label(s), summary_to_string(r.gflops, 1.0, "GFLOP/s"),
+                 Table::num(r.rel_err, 8)});
+    report.add_summary("bwd." + size_label(s) + ".gflops", r.gflops,
+                       "GFLOP/s", Better::kHigher);
+    bwd_matches = bwd_matches && r.rel_err <= kBwdTol;
+  }
+
   std::cout << "\n-- All kernels (per-size medians, ms: p25 / median / p75) --\n";
   Table dist({"framework", "native", "deep500-wrapped"});
   dist.add_row({"deepbench", deepbench_series.distribution(), "-"});
@@ -126,7 +200,6 @@ int run() {
   Table high({"configuration", "median [95% CI]", "vs native"});
   high.add_row({"deepbench (bare kernel)", ms(db_time), "-"});
   bool deepbench_fastest = true;
-  BenchReport report("l0_conv");
   report.add_summary("highlight.deepbench_s", db_time, "s");
   for (const Framework* fw : all_frameworks()) {
     auto native = fw->native_operator("Conv2D", conv_attrs(hs));
@@ -154,6 +227,11 @@ int run() {
     norms.add_row({name, Table::num(v, 6)});
   std::cout << norms.to_text();
 
+  std::cout << "\n-- Backward dX + dW + db (im2col, whole-minibatch packed "
+               "GEMMs) vs per-sample naive reference, tolerance "
+            << kBwdTol << " --\n"
+            << bwd.to_text();
+
   std::cout << "\nshape check: deepbench baseline fastest at highlighted "
                "size: "
             << (deepbench_fastest ? "yes" : "NO") << "\n";
@@ -161,6 +239,7 @@ int run() {
   for (const auto& [name, v] : worst_linf)
     report.add_scalar("linf." + name, v, "abs");
   report.add_flag("deepbench_fastest", deepbench_fastest);
+  report.add_flag("bwd_matches_reference", bwd_matches);
   JsonWriter extra;
   extra.begin_object();
   extra.key("highlight_size");

@@ -18,6 +18,24 @@ const char* conv_backend_name(ConvBackend b) {
   return "?";
 }
 
+namespace {
+
+// The output columns [lo, hi) of one kernel tap whose input column
+// ow*stride + off lies inside [0, W); the others read the zero padding.
+struct ValidCols {
+  std::int64_t lo, hi;
+};
+
+ValidCols valid_cols(std::int64_t off, std::int64_t stride, std::int64_t W,
+                     std::int64_t Wo) {
+  const std::int64_t lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
+  const std::int64_t hi =
+      std::min(Wo, off >= W ? 0 : (W - off + stride - 1) / stride);
+  return {std::min(lo, hi), hi};
+}
+
+}  // namespace
+
 void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
             const Conv2DParams& p, float* col, std::int64_t row_stride) {
   const std::int64_t Ho = p.out_dim(H, p.kernel_h);
@@ -46,22 +64,36 @@ void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
 }
 
 void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,
-            const Conv2DParams& p, float* x_grad) {
+            const Conv2DParams& p, float* x_grad, std::int64_t row_stride) {
   const std::int64_t Ho = p.out_dim(H, p.kernel_h);
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
-  const std::int64_t spatial = Ho * Wo;
+  if (row_stride == 0) row_stride = Ho * Wo;
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < C; ++c) {
     for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++row) {
-        const float* src = col + row * spatial;
+        const float* src = col + row * row_stride;
+        const std::int64_t off = kw * p.dilation - p.pad;
+        const ValidCols v = valid_cols(off, p.stride, W, Wo);
         for (std::int64_t oh = 0; oh < Ho; ++oh) {
           const std::int64_t ih = oh * p.stride - p.pad + kh * p.dilation;
           if (ih < 0 || ih >= H) continue;
           float* dst = x_grad + (c * H + ih) * W;
-          for (std::int64_t ow = 0; ow < Wo; ++ow) {
-            const std::int64_t iw = ow * p.stride - p.pad + kw * p.dilation;
-            if (iw >= 0 && iw < W) dst[iw] += src[oh * Wo + ow];
+          const float* s = src + oh * Wo;
+          if (p.stride == 1) {
+            // One add per element, so the vector width cannot change bits.
+            float* d = dst + v.lo + off;
+            const float* sl = s + v.lo;
+            simd::dispatch([&](auto tag) {
+              using V = decltype(tag);
+              simd::lanes<V>(0, v.hi - v.lo, [&](auto w, std::int64_t i) {
+                using L = decltype(w);
+                (L::loadu(d + i) + L::loadu(sl + i)).storeu(d + i);
+              });
+            });
+          } else {
+            for (std::int64_t ow = v.lo; ow < v.hi; ++ow)
+              dst[ow * p.stride + off] += s[ow];
           }
         }
       }
@@ -69,7 +101,145 @@ void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,
   }
 }
 
+void conv2d_backward_reference(const Tensor& X, const Tensor& Wt,
+                               const Tensor& dY, const Conv2DParams& p,
+                               Tensor* dX, Tensor* dW, Tensor* db) {
+  const std::int64_t N = X.dim(0), C = X.dim(1), H = X.dim(2), W = X.dim(3);
+  const std::int64_t F = Wt.dim(0);
+  const std::int64_t K = C * p.kernel_h * p.kernel_w;
+  const std::int64_t Wo = p.out_dim(W, p.kernel_w);
+  const std::int64_t spatial = p.out_dim(H, p.kernel_h) * Wo;
+  if (dX) dX->fill(0.0f);
+  if (dW) dW->fill(0.0f);
+  if (db) db->fill(0.0f);
+  std::vector<float> col(static_cast<std::size_t>(K * spatial));
+  std::vector<float> dcol(col.size());
+  for (std::int64_t n = 0; n < N; ++n) {
+    const float* dy = dY.data() + n * F * spatial;
+    if (dW) {
+      im2col(X.data() + n * C * H * W, C, H, W, p, col.data());
+      gemm_a_bt(GemmBackend::kNaive, F, K, spatial, dy, col.data(),
+                dW->data());
+    }
+    if (dX) {
+      std::fill(dcol.begin(), dcol.end(), 0.0f);
+      gemm_at_b(GemmBackend::kNaive, K, spatial, F, Wt.data(), dy,
+                dcol.data());
+      // Bounds-checked scatter per element, independent of col2im's
+      // valid-range loops so the oracle does not share their faults.
+      float* dx = dX->data() + n * C * H * W;
+      for (std::int64_t r = 0; r < K; ++r) {
+        const std::int64_t c = r / (p.kernel_h * p.kernel_w);
+        const std::int64_t kh = r / p.kernel_w % p.kernel_h;
+        const std::int64_t kw = r % p.kernel_w;
+        for (std::int64_t s = 0; s < spatial; ++s) {
+          const std::int64_t ih = s / Wo * p.stride - p.pad + kh * p.dilation;
+          const std::int64_t iw = s % Wo * p.stride - p.pad + kw * p.dilation;
+          if (ih >= 0 && ih < H && iw >= 0 && iw < W)
+            dx[(c * H + ih) * W + iw] += dcol[r * spatial + s];
+        }
+      }
+    }
+    if (db)
+      for (std::int64_t f = 0; f < F; ++f)
+        for (std::int64_t s = 0; s < spatial; ++s)
+          db->data()[f] += dy[f * spatial + s];
+  }
+}
+
 namespace {
+
+// The one per-thread convolution workspace, shared by the im2col forward
+// and the backward so the two never hold separate whole-minibatch copies.
+// Grow-only and fully rewritten by each use, so warm steps do not allocate.
+//   col   — forward: im2col columns [K, N*spatial]; backward: the same
+//           columns lowered into packed-A panels, then dcol [K, N*spatial]
+//   stage — forward: filter-major GEMM output [F, N*spatial]; backward:
+//           filter-major dY [F, N*spatial], then a [Kp, F] tail for dW^T
+//           and the packed W^T panels (Kp = K padded to gemm_micro_mr())
+// Pool workers must write the CALLER's buffers: a thread_local named inside
+// a parallel_for body resolves to the worker's own instance, so callers
+// hand workers plain pointers.
+struct ConvWorkspace {
+  std::vector<float> col;
+  std::vector<float> stage;
+};
+
+ConvWorkspace& conv_workspace() {
+  thread_local ConvWorkspace ws;
+  return ws;
+}
+
+float* grow(std::vector<float>& v, std::int64_t elems) {
+  if (v.size() < static_cast<std::size_t>(elems))
+    v.resize(static_cast<std::size_t>(elems));
+  return v.data();
+}
+
+std::int64_t padded_k(std::int64_t K) {
+  const std::int64_t mr = gemm_micro_mr();
+  return (K + mr - 1) / mr * mr;
+}
+
+// im2col of one sample straight into the packed-A panel layout that
+// gemm_packed_ex consumes for an [K, ncols] A operand: element (r, j) lives
+// at panels[(r / MR) * ncols * MR + j * MR + r % MR]. The sample fills
+// columns [col0, col0 + Ho*Wo); rows K..Kp-1 (the last panel's padding) are
+// zeroed, so the panels need no second packing pass.
+void im2col_panels(const float* x, std::int64_t C, std::int64_t H,
+                   std::int64_t W, const Conv2DParams& p, float* panels,
+                   std::int64_t ncols, std::int64_t col0) {
+  const std::int64_t Ho = p.out_dim(H, p.kernel_h);
+  const std::int64_t Wo = p.out_dim(W, p.kernel_w);
+  const std::int64_t mr = gemm_micro_mr();
+  const std::int64_t K = C * p.kernel_h * p.kernel_w;
+  auto lane = [&](std::int64_t r) {
+    return panels + (r / mr) * ncols * mr + col0 * mr + r % mr;
+  };
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++row) {
+        float* dst = lane(row);
+        const std::int64_t off = kw * p.dilation - p.pad;
+        const ValidCols v = valid_cols(off, p.stride, W, Wo);
+        for (std::int64_t oh = 0; oh < Ho; ++oh) {
+          const std::int64_t ih = oh * p.stride - p.pad + kh * p.dilation;
+          float* d = dst + oh * Wo * mr;
+          const bool inside = ih >= 0 && ih < H;
+          const std::int64_t lo = inside ? v.lo : Wo;
+          const std::int64_t hi = inside ? v.hi : Wo;
+          std::int64_t ow = 0;
+          for (; ow < lo; ++ow) d[ow * mr] = 0.0f;
+          if (inside) {
+            const float* src = x + (c * H + ih) * W;
+            for (; ow < hi; ++ow) d[ow * mr] = src[ow * p.stride + off];
+          }
+          for (; ow < Wo; ++ow) d[ow * mr] = 0.0f;
+        }
+      }
+    }
+  }
+  for (; row < padded_k(K); ++row) {
+    float* dst = lane(row);
+    for (std::int64_t j = 0; j < Ho * Wo; ++j) dst[j * mr] = 0.0f;
+  }
+}
+
+// Sum of x[0..n) as eight interleaved partial sums combined in a fixed
+// tree, then the tail in ascending order: the order depends on n alone
+// (not on the thread count or the SIMD dispatch mode), and the eight
+// independent chains keep the adder pipeline busy.
+float row_sum(const float* x, std::int64_t n) {
+  float part[8] = {};
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (int l = 0; l < 8; ++l) part[l] += x[i + l];
+  float s = ((part[0] + part[1]) + (part[2] + part[3])) +
+            ((part[4] + part[5]) + (part[6] + part[7]));
+  for (; i < n; ++i) s += x[i];
+  return s;
+}
 
 void conv_direct(const Tensor& X, const Tensor& Wt, const Tensor& bias,
                  Tensor& Y, const Conv2DParams& p) {
@@ -130,15 +300,8 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
   const std::int64_t K = C * p.kernel_h * p.kernel_w;
   const std::int64_t spatial = Ho * Wo;
-  // Grow-only per-thread workspaces (fully rewritten each call), so warm
-  // steps do not allocate.
-  thread_local std::vector<float> col;
-  if (col.size() < static_cast<std::size_t>(K) * N * spatial)
-    col.resize(static_cast<std::size_t>(K) * N * spatial);
-  // Workers must write the CALLER's buffer: naming a thread_local inside
-  // the lambda body would resolve to each worker's own (empty) instance,
-  // so the shared destination is passed as a plain pointer.
-  float* const col_buf = col.data();
+  ConvWorkspace& ws = conv_workspace();
+  float* const col_buf = grow(ws.col, K * N * spatial);
   // col layout: row r holds sample-major columns [n*spatial + s]. Samples
   // lower straight into disjoint column slices, so they parallelise
   // trivially and need no per-thread scratch.
@@ -149,18 +312,16 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   });
   // One GEMM: [F, K] x [K, N*spatial] -> [F, N*spatial] (filter-major), then
   // scatter into NCHW output with the bias added.
-  thread_local std::vector<float> ybuf;
-  if (ybuf.size() < static_cast<std::size_t>(F) * N * spatial)
-    ybuf.resize(static_cast<std::size_t>(F) * N * spatial);
+  float* const ybuf = grow(ws.stage, F * N * spatial);
   // Same arithmetic as gemm(kPacked, ...); the optional prepacked_w skips
   // re-packing the filter panels when the plan executor cached them.
-  gemm_packed_ex(F, N * spatial, K, 1.0f, Wt.data(), prepacked_w, col.data(),
-                 nullptr, /*b_transposed=*/false, 0.0f, ybuf.data());
+  gemm_packed_ex(F, N * spatial, K, 1.0f, Wt.data(), prepacked_w, col_buf,
+                 nullptr, /*b_transposed=*/false, 0.0f, ybuf);
   // Filter-major -> NCHW scatter with the bias (and, when fused, the
   // activation chain) applied in flight. Each (n, f) plane is disjoint, so
   // the decomposition is a pure function of the problem size.
   float* const y = Y.data();
-  const float* const src0 = ybuf.data();
+  const float* const src0 = ybuf;
   const float* const b = bias.data();
   simd::dispatch([&](auto tag) {
     using V = decltype(tag);
@@ -365,60 +526,83 @@ void Conv2DOp::forward(const ConstTensors& inputs, const MutTensors& outputs) {
   if (!fuse) epilogue_.forward_post(Y.data(), Y.elements());
 }
 
+// Whole-minibatch packed-GEMM backward, with NS = N*spatial, K = C*kh*kw:
+//   dyf[F, NS]  = dY regrouped filter-major     db[f] = row_sum(dyf row f)
+//   dW^T[K, F]  = col[K, NS] x dyf^T            (M = K: K/MR row panels)
+//   dcol[K, NS] = W^T[K, F] x dyf[F, NS]        then col2im per sample
+// Both GEMMs put K on the panel axis so even 8-filter layers split across
+// the pool. Every output element is one microkernel tile's ascending-k fma
+// chain (or a fixed-order row sum), and every decomposition depends only on
+// the problem size, so results are bitwise identical at any thread count.
 void Conv2DOp::backward(const ConstTensors& grad_outputs,
                         const ConstTensors& fwd_inputs,
                         const ConstTensors& fwd_outputs,
                         const MutTensors& grad_inputs) {
-  const Tensor* gout =
-      epilogue_.backward(grad_outputs[0], fwd_outputs[0]->data());
-  const Tensor& dY = *gout;
+  const Tensor& dY =
+      *epilogue_.backward(grad_outputs[0], fwd_outputs[0]->data());
   const Tensor& X = *fwd_inputs[0];
   const Tensor& Wt = *fwd_inputs[1];
+  Tensor* const dX = grad_inputs[0];
+  Tensor* const dW = grad_inputs[1];
+  Tensor* const db = grad_inputs[2];
   const std::int64_t N = X.dim(0), C = X.dim(1), H = X.dim(2), W = X.dim(3);
   const std::int64_t F = Wt.dim(0);
-  const std::int64_t Ho = params_.out_dim(H, params_.kernel_h);
-  const std::int64_t Wo = params_.out_dim(W, params_.kernel_w);
+  const std::int64_t spatial = params_.out_dim(H, params_.kernel_h) *
+                               params_.out_dim(W, params_.kernel_w);
   const std::int64_t K = C * params_.kernel_h * params_.kernel_w;
-  const std::int64_t spatial = Ho * Wo;
+  const std::int64_t Kp = padded_k(K);
+  const std::int64_t NS = N * spatial;
+  const std::int64_t mr = gemm_micro_mr();
 
-  if (grad_inputs[0]) grad_inputs[0]->fill(0.0f);
-  if (grad_inputs[1]) grad_inputs[1]->fill(0.0f);
-  if (grad_inputs[2]) grad_inputs[2]->fill(0.0f);
+  ConvWorkspace& ws = conv_workspace();
+  float* const col = grow(ws.col, Kp * NS);
+  float* const dyf = grow(ws.stage, F * NS + Kp * F);
+  float* const tail = dyf + F * NS;
 
-  // Grow-only per-thread workspaces: col is fully rewritten by im2col,
-  // col_grad is re-zeroed per sample below.
-  thread_local std::vector<float> col;
-  if (col.size() < static_cast<std::size_t>(K) * spatial)
-    col.resize(static_cast<std::size_t>(K) * spatial);
-  thread_local std::vector<float> col_grad;
-  if (grad_inputs[0] && col_grad.size() < static_cast<std::size_t>(K) * spatial)
-    col_grad.resize(static_cast<std::size_t>(K) * spatial);
-
-  for (std::int64_t n = 0; n < N; ++n) {
-    const float* dy = dY.data() + n * F * spatial;
-    if (grad_inputs[1]) {
-      // dW[F,K] += dY[n] (F x spatial) x col^T (spatial x K)
-      im2col(X.data() + n * C * H * W, C, H, W, params_, col.data());
-      gemm_a_bt(GemmBackend::kBlocked, F, K, spatial, dy, col.data(),
-                grad_inputs[1]->data());
+  const float* const dy = dY.data();
+  float* const dbias = db != nullptr ? db->data() : nullptr;
+  parallel_for(0, F, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t f = lo; f < hi; ++f) {
+      float* row = dyf + f * NS;
+      for (std::int64_t n = 0; n < N; ++n)
+        std::memcpy(row + n * spatial, dy + (n * F + f) * spatial,
+                    static_cast<std::size_t>(spatial) * sizeof(float));
+      if (dbias != nullptr) dbias[f] = row_sum(row, NS);
     }
-    if (grad_inputs[0]) {
-      // col_grad (K x spatial) = W^T (K x F) x dY[n] (F x spatial)
-      std::memset(col_grad.data(), 0, col_grad.size() * sizeof(float));
-      gemm_at_b(GemmBackend::kBlocked, K, spatial, F, Wt.data(), dy,
-                col_grad.data());
-      col2im(col_grad.data(), C, H, W, params_,
-             grad_inputs[0]->data() + n * C * H * W);
-    }
-    if (grad_inputs[2]) {
-      float* db = grad_inputs[2]->data();
-      for (std::int64_t f = 0; f < F; ++f) {
-        const float* dyf = dy + f * spatial;
-        float acc = 0.0f;
-        for (std::int64_t s = 0; s < spatial; ++s) acc += dyf[s];
-        db[f] += acc;
+  });
+
+  if (dW != nullptr) {
+    const float* const x = X.data();
+    parallel_for(0, N, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t n = lo; n < hi; ++n)
+        im2col_panels(x + n * C * H * W, C, H, W, params_, col, NS,
+                      n * spatial);
+    });
+    gemm_packed_ex(K, F, NS, 1.0f, nullptr, col, dyf, nullptr,
+                   /*b_transposed=*/true, 0.0f, tail);
+    float* const w = dW->data();
+    for (std::int64_t f = 0; f < F; ++f)
+      for (std::int64_t k = 0; k < K; ++k) w[f * K + k] = tail[k * F + f];
+  }
+
+  if (dX != nullptr) {
+    // W [F, K] read as W^T [K, F], packed straight into MR-row A panels.
+    const float* const w = Wt.data();
+    for (std::int64_t k0 = 0; k0 < Kp; k0 += mr)
+      for (std::int64_t f = 0; f < F; ++f)
+        for (std::int64_t r = 0; r < mr; ++r)
+          tail[k0 * F + f * mr + r] = k0 + r < K ? w[f * K + k0 + r] : 0.0f;
+    gemm_packed_ex(K, NS, F, 1.0f, nullptr, tail, dyf, nullptr,
+                   /*b_transposed=*/false, 0.0f, col);
+    float* const dx = dX->data();
+    parallel_for(0, N, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t n = lo; n < hi; ++n) {
+        float* dxn = dx + n * C * H * W;
+        std::memset(dxn, 0,
+                    static_cast<std::size_t>(C * H * W) * sizeof(float));
+        col2im(col + n * spatial, C, H, W, params_, dxn, NS);
       }
-    }
+    });
   }
 }
 
@@ -441,11 +625,15 @@ std::size_t Conv2DOp::workspace_bytes(const std::vector<Shape>& inputs) const {
   switch (backend_) {
     case ConvBackend::kDirect:
       return 0;
-    case ConvBackend::kIm2col:
-      // Whole-minibatch column buffer + filter-major output staging
-      // (see conv_im2col): scales with the minibatch size.
-      return static_cast<std::size_t>(x[0]) * (K + inputs[1][0]) * Ho * Wo *
+    case ConvBackend::kIm2col: {
+      // The shared ConvWorkspace at its peak, which the backward sets: the
+      // whole-minibatch col (K padded to MR rows) and stage buffers scale
+      // with the minibatch size; the [Kp, F] tail does not.
+      const std::int64_t F = inputs[1][0];
+      const std::int64_t Kp = padded_k(K);
+      return static_cast<std::size_t>(x[0] * (Kp + F) * Ho * Wo + Kp * F) *
              sizeof(float);
+    }
     case ConvBackend::kWinograd:
       // filter transforms + per-thread input tile buffers
       return static_cast<std::size_t>(inputs[1][0]) * x[1] * 16 * sizeof(float) +

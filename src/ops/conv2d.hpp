@@ -7,7 +7,10 @@
 //   kIm2col   — im2col lowering + packed GEMM (Chellapilla et al.)
 //   kWinograd — Winograd F(2x2, 3x3) minimal filtering (Lavin & Gray);
 //               requires 3x3 kernel, stride 1, dilation 1
-// Backward always uses the im2col formulation (col2im for input gradients).
+// Backward, for every backend, is the im2col formulation run as
+// whole-minibatch packed GEMMs (Conv2DOp::backward in conv2d.cpp): one
+// GEMM for dW over all N samples at once, one for the column gradient, then
+// col2im per sample; DESIGN.md §9 gives the determinism argument.
 #pragma once
 
 #include "ops/gemm.hpp"
@@ -65,8 +68,11 @@ class Conv2DOp : public CustomOperator {
     prepacked_src_ = src;
   }
 
-  /// Bytes of scratch the backend allocates for the given input shapes;
-  /// used by the micro-batching memory model (Level 1).
+  /// Bytes of per-thread scratch for the given input shapes; used by the
+  /// micro-batching memory model (Level 1). kIm2col reports the peak of the
+  /// workspace its forward and backward share, which the backward sets.
+  /// kDirect and kWinograd report their forward scratch only (their
+  /// backward runs on that same im2col workspace).
   std::size_t workspace_bytes(const std::vector<Shape>& inputs) const;
 
   /// Fused activation epilogue chain; see MatMulOp::try_fuse_epilogue.
@@ -95,8 +101,17 @@ class Conv2DOp : public CustomOperator {
 void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
             const Conv2DParams& p, float* col, std::int64_t row_stride = 0);
 
-/// Transposed scatter of im2col (accumulates into x_grad).
+/// Transposed scatter of im2col (accumulates into x_grad); rows of `col`
+/// are `row_stride` floats apart (0 = Ho*Wo).
 void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,
-            const Conv2DParams& p, float* x_grad);
+            const Conv2DParams& p, float* x_grad, std::int64_t row_stride = 0);
+
+/// Reference conv backward: per sample, im2col + naive serial GEMMs + a
+/// bounds-checked per-element scatter, and plain ascending bias sums. The
+/// oracle Conv2DOp::backward is checked against (tests, bench_l0_conv).
+/// dX/dW/db may each be null.
+void conv2d_backward_reference(const Tensor& X, const Tensor& Wt,
+                               const Tensor& dY, const Conv2DParams& p,
+                               Tensor* dX, Tensor* dW, Tensor* db);
 
 }  // namespace d500

@@ -113,9 +113,16 @@ void FusedConvBnOp::forward(const ConstTensors& inputs,
   Tensor& Y = *outputs[0];
 
   if (bn_->training()) {
-    const Shape cs =
-        conv_->output_shapes({X.shape(), W.shape(), bias.shape()})[0];
-    if (conv_out_.shape() != cs) conv_out_ = Tensor(cs);
+    // Compare the retained conv output's dims in place: building the
+    // output_shapes argument and result vectors would allocate every step.
+    // A mismatch (first call, new batch size) takes the validating path.
+    const Conv2DParams& p = conv_->params();
+    const Shape& have = conv_out_.shape();
+    if (have.size() != 4 || have[0] != X.dim(0) || have[1] != W.dim(0) ||
+        have[2] != p.out_dim(X.dim(2), p.kernel_h) ||
+        have[3] != p.out_dim(X.dim(3), p.kernel_w))
+      conv_out_ =
+          Tensor(conv_->output_shapes({X.shape(), W.shape(), bias.shape()})[0]);
     sub_in_.clear();
     sub_in_.push_back(&X);
     sub_in_.push_back(&W);

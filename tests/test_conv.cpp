@@ -2,9 +2,13 @@
 // im2col/col2im adjointness, shape inference, gradients.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "core/rng.hpp"
+#include "core/simd.hpp"
+#include "core/threadpool.hpp"
 #include "ops/conv2d.hpp"
 #include "ops/validation.hpp"
 
@@ -169,6 +173,117 @@ TEST(Conv, GradientCheckStrided) {
   EXPECT_TRUE(res.passed) << "max_rel=" << res.max_rel_error;
 }
 
+// Backward geometries covering every panel edge of the packed GEMMs:
+// K = C*kh*kw not a multiple of MR (27, 2) and a multiple (36, 72),
+// N*spatial not a multiple of the NR width, F below and above one NR panel,
+// stride 2 (with the last output column's taps both inside and past the
+// right edge), pad 1, dilation 2 and N = 1.
+struct BwdCase {
+  std::int64_t N, C, H, W, F, k, stride, pad, dilation;
+};
+
+const BwdCase kBwdCases[] = {
+    {2, 3, 7, 9, 5, 3, 1, 1, 1},    // K=27, NS=126
+    {1, 4, 11, 10, 7, 3, 2, 1, 2},  // N=1, stride 2, dilation 2, NS=20
+    {2, 3, 9, 9, 6, 3, 2, 1, 1},    // stride 2 clipping the right edge
+    {3, 2, 6, 6, 9, 1, 1, 0, 1},    // 1x1: K=2, one padded panel
+    {2, 8, 5, 5, 17, 3, 1, 1, 1},   // F=17 spans two column panels
+};
+
+struct BwdResult {
+  Tensor dX, dW, db;
+};
+
+struct BwdInputs {
+  Conv2DParams p;
+  Tensor X, Wt, dY;
+};
+
+BwdInputs make_bwd_inputs(const BwdCase& c) {
+  BwdInputs in;
+  in.p.kernel_h = in.p.kernel_w = c.k;
+  in.p.stride = c.stride;
+  in.p.pad = c.pad;
+  in.p.dilation = c.dilation;
+  Rng rng(static_cast<std::uint64_t>(31 + c.C * 7 + c.F));
+  in.X = Tensor({c.N, c.C, c.H, c.W});
+  in.Wt = Tensor({c.F, c.C, c.k, c.k});
+  in.dY = Tensor({c.N, c.F, in.p.out_dim(c.H, c.k), in.p.out_dim(c.W, c.k)});
+  in.X.fill_uniform(rng, -1, 1);
+  in.Wt.fill_uniform(rng, -1, 1);
+  in.dY.fill_uniform(rng, -1, 1);
+  return in;
+}
+
+BwdResult run_backward(const BwdInputs& in) {
+  Conv2DOp op(in.p, ConvBackend::kIm2col);
+  Tensor b({in.Wt.dim(0)});
+  Tensor Y(in.dY.shape());
+  BwdResult r{Tensor(in.X.shape()), Tensor(in.Wt.shape()), Tensor(b.shape())};
+  op.forward({&in.X, &in.Wt, &b}, {&Y});
+  op.backward({&in.dY}, {&in.X, &in.Wt, &b}, {&Y}, {&r.dX, &r.dW, &r.db});
+  return r;
+}
+
+void expect_bitwise(const Tensor& a, const Tensor& b, const char* what,
+                    int threads) {
+  ASSERT_EQ(a.elements(), b.elements());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.elements()) * sizeof(float)),
+            0)
+      << what << " differs at " << threads << " threads";
+}
+
+// Also across the scalar and SIMD dispatch modes: the packed microkernel
+// and the row sums produce the same bits in both.
+TEST(Conv, BackwardBitwiseAcrossThreads) {
+  const simd::KernelDispatch mode = simd::kernel_dispatch();
+  for (const BwdCase& c : kBwdCases) {
+    const BwdInputs in = make_bwd_inputs(c);
+    ThreadPool::instance().reset(1);
+    const BwdResult ref = run_backward(in);
+    for (auto dispatch : {simd::KernelDispatch::kScalar,
+                          simd::KernelDispatch::kSimd}) {
+      simd::set_kernel_dispatch(dispatch);
+      for (int threads : {1, 2, 4}) {
+        ThreadPool::instance().reset(threads);
+        const BwdResult got = run_backward(in);
+        expect_bitwise(got.dX, ref.dX, "dX", threads);
+        expect_bitwise(got.dW, ref.dW, "dW", threads);
+        expect_bitwise(got.db, ref.db, "db", threads);
+      }
+    }
+    simd::set_kernel_dispatch(mode);
+  }
+  ThreadPool::instance().reset(1);
+}
+
+// Tolerance: 1e-4 relative to max(1, |reference|). Each gradient element is
+// a sum of at most a few hundred products of values in [-1, 1]; the packed
+// and the naive backward sum them in different orders, which moves a float
+// result by a few ULP per term, far below this bound.
+void expect_close(const Tensor& got, const Tensor& ref, const char* what) {
+  ASSERT_EQ(got.elements(), ref.elements());
+  for (std::int64_t i = 0; i < ref.elements(); ++i) {
+    const float tol = 1e-4f * std::max(1.0f, std::fabs(ref.at(i)));
+    ASSERT_NEAR(got.at(i), ref.at(i), tol) << what << "[" << i << "]";
+  }
+}
+
+TEST(Conv, BackwardMatchesNaiveReference) {
+  for (const BwdCase& c : kBwdCases) {
+    const BwdInputs in = make_bwd_inputs(c);
+    const BwdResult got = run_backward(in);
+    BwdResult ref{Tensor(in.X.shape()), Tensor(in.Wt.shape()),
+                  Tensor({in.Wt.dim(0)})};
+    conv2d_backward_reference(in.X, in.Wt, in.dY, in.p, &ref.dX, &ref.dW,
+                              &ref.db);
+    expect_close(got.dX, ref.dX, "dX");
+    expect_close(got.dW, ref.dW, "dW");
+    expect_close(got.db, ref.db, "db");
+  }
+}
+
 TEST(Conv, WorkspaceScalesWithBatch) {
   Conv2DParams p;
   p.kernel_h = p.kernel_w = 5;
@@ -177,7 +292,14 @@ TEST(Conv, WorkspaceScalesWithBatch) {
   const Shape w{32, 16, 5, 5}, b{32};
   const std::size_t ws1 = op.workspace_bytes({{1, 16, 16, 16}, w, b});
   const std::size_t ws64 = op.workspace_bytes({{64, 16, 16, 16}, w, b});
-  EXPECT_EQ(ws64, 64 * ws1);
+  // Per sample: col with K = 16*5*5 padded to the microkernel's MR rows,
+  // plus the 32-filter stage; once per call: the backward's [Kp, F] tail.
+  const std::size_t mr = static_cast<std::size_t>(gemm_micro_mr());
+  const std::size_t kp = (400 + mr - 1) / mr * mr;
+  const std::size_t per_sample = (kp + 32) * 16 * 16 * sizeof(float);
+  const std::size_t tail = kp * 32 * sizeof(float);
+  EXPECT_EQ(ws1, per_sample + tail);
+  EXPECT_EQ(ws64, 64 * per_sample + tail);
   Conv2DOp direct(p, ConvBackend::kDirect);
   EXPECT_EQ(direct.workspace_bytes({{64, 16, 16, 16}, w, b}), 0u);
 }

@@ -473,13 +473,10 @@ TEST(MemoryPlanExecutor, WarmLenetStepsDoZeroHeapAllocations) {
   check_zero_alloc_warm_steps(models::lenet(2, 1, 12, 12, 4, 12), "lenet");
 }
 
-TEST(MemoryPlanExecutor, WarmResnetStepAllocationsDoNotGrowWithThreads) {
-  // ResNet's fused conv/BN forward still allocates per call, serial or
-  // not; fanning its kernels out to the pool must add nothing on top.
-  const Model m = models::resnet(2, 3, 8, 8, 4, 4, 1, 13);
-  const std::int64_t serial = warm_step_allocs(m, 1);
-  for (int threads : {2, 4})
-    EXPECT_EQ(warm_step_allocs(m, threads), serial) << "@" << threads << "t";
+TEST(MemoryPlanExecutor, WarmResnetStepsDoZeroHeapAllocations) {
+  // Fused conv/BN forward plus the conv backward's grow-only workspace.
+  check_zero_alloc_warm_steps(models::resnet(2, 3, 8, 8, 4, 4, 1, 13),
+                              "resnet");
 }
 
 }  // namespace
