@@ -176,11 +176,6 @@ float* grow(std::vector<float>& v, std::int64_t elems) {
   return v.data();
 }
 
-std::int64_t padded_k(std::int64_t K) {
-  const std::int64_t mr = gemm_micro_mr();
-  return (K + mr - 1) / mr * mr;
-}
-
 // im2col of one sample straight into the packed-A panel layout that
 // gemm_packed_ex consumes for an [K, ncols] A operand: element (r, j) lives
 // at panels[(r / MR) * ncols * MR + j * MR + r % MR]. The sample fills
@@ -192,7 +187,6 @@ void im2col_panels(const float* x, std::int64_t C, std::int64_t H,
   const std::int64_t Ho = p.out_dim(H, p.kernel_h);
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
   const std::int64_t mr = gemm_micro_mr();
-  const std::int64_t K = C * p.kernel_h * p.kernel_w;
   auto lane = [&](std::int64_t r) {
     return panels + (r / mr) * ncols * mr + col0 * mr + r % mr;
   };
@@ -220,7 +214,7 @@ void im2col_panels(const float* x, std::int64_t C, std::int64_t H,
       }
     }
   }
-  for (; row < padded_k(K); ++row) {
+  for (; row % mr != 0; ++row) {
     float* dst = lane(row);
     for (std::int64_t j = 0; j < Ho * Wo; ++j) dst[j * mr] = 0.0f;
   }
@@ -550,13 +544,12 @@ void Conv2DOp::backward(const ConstTensors& grad_outputs,
   const std::int64_t spatial = params_.out_dim(H, params_.kernel_h) *
                                params_.out_dim(W, params_.kernel_w);
   const std::int64_t K = C * params_.kernel_h * params_.kernel_w;
-  const std::int64_t Kp = padded_k(K);
   const std::int64_t NS = N * spatial;
   const std::int64_t mr = gemm_micro_mr();
 
   ConvWorkspace& ws = conv_workspace();
-  float* const col = grow(ws.col, Kp * NS);
-  float* const dyf = grow(ws.stage, F * NS + Kp * F);
+  float* const col = grow(ws.col, gemm_packed_a_elems(K, NS));
+  float* const dyf = grow(ws.stage, F * NS + gemm_packed_a_elems(K, F));
   float* const tail = dyf + F * NS;
 
   const float* const dy = dY.data();
@@ -588,7 +581,7 @@ void Conv2DOp::backward(const ConstTensors& grad_outputs,
   if (dX != nullptr) {
     // W [F, K] read as W^T [K, F], packed straight into MR-row A panels.
     const float* const w = Wt.data();
-    for (std::int64_t k0 = 0; k0 < Kp; k0 += mr)
+    for (std::int64_t k0 = 0; k0 < K; k0 += mr)
       for (std::int64_t f = 0; f < F; ++f)
         for (std::int64_t r = 0; r < mr; ++r)
           tail[k0 * F + f * mr + r] = k0 + r < K ? w[f * K + k0 + r] : 0.0f;
@@ -630,8 +623,9 @@ std::size_t Conv2DOp::workspace_bytes(const std::vector<Shape>& inputs) const {
       // whole-minibatch col (K padded to MR rows) and stage buffers scale
       // with the minibatch size; the [Kp, F] tail does not.
       const std::int64_t F = inputs[1][0];
-      const std::int64_t Kp = padded_k(K);
-      return static_cast<std::size_t>(x[0] * (Kp + F) * Ho * Wo + Kp * F) *
+      const std::int64_t NS = x[0] * Ho * Wo;
+      return static_cast<std::size_t>(gemm_packed_a_elems(K, NS) + F * NS +
+                                      gemm_packed_a_elems(K, F)) *
              sizeof(float);
     }
     case ConvBackend::kWinograd:
