@@ -226,12 +226,13 @@ BwdResult run_backward(const BwdInputs& in) {
 }
 
 void expect_bitwise(const Tensor& a, const Tensor& b, const char* what,
-                    int threads) {
+                    simd::KernelDispatch dispatch, int threads) {
   ASSERT_EQ(a.elements(), b.elements());
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<std::size_t>(a.elements()) * sizeof(float)),
             0)
-      << what << " differs at " << threads << " threads";
+      << what << " differs: " << simd::kernel_dispatch_name(dispatch)
+      << " dispatch, " << threads << " threads";
 }
 
 // Also across the scalar and SIMD dispatch modes: the packed microkernel
@@ -248,9 +249,9 @@ TEST(Conv, BackwardBitwiseAcrossThreads) {
       for (int threads : {1, 2, 4}) {
         ThreadPool::instance().reset(threads);
         const BwdResult got = run_backward(in);
-        expect_bitwise(got.dX, ref.dX, "dX", threads);
-        expect_bitwise(got.dW, ref.dW, "dW", threads);
-        expect_bitwise(got.db, ref.db, "db", threads);
+        expect_bitwise(got.dX, ref.dX, "dX", dispatch, threads);
+        expect_bitwise(got.dW, ref.dW, "dW", dispatch, threads);
+        expect_bitwise(got.db, ref.db, "db", dispatch, threads);
       }
     }
     simd::set_kernel_dispatch(mode);
