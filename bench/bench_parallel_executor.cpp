@@ -1,14 +1,12 @@
 // Inter-op parallel execution: training-step time of a branchy model under
 // the shared thread-pool runtime. Rows cover the two parallelism layers
 // separately — the reference executor at N threads gets intra-op
-// parallelism only (kernels on the pool), while ParallelExecutor also
-// schedules independent branches concurrently through its dependency
-// table. The compiled plan engine (PlanExecutor) gets the same two rows:
-// serial steps with intra-op kernels, and ExecOptions::parallel, which
-// schedules the forward pass as a task graph (its backward stays serial).
-// The determinism contract is checked alongside the timing: an FNV-1a
-// checksum over all outputs and gradients must be identical across every
-// executor/thread-count combination.
+// parallelism only (kernels on the pool), as do serial PlanExecutor steps,
+// while ExecOptions::parallel also schedules independent branches of the
+// forward and backward passes concurrently through the plan's dependency
+// tables. The determinism contract is checked alongside the timing: an
+// FNV-1a checksum over all outputs and gradients must be identical across
+// every executor/thread-count combination. Writes BENCH_parallel.json.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -18,11 +16,11 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/report.hpp"
 #include "core/rng.hpp"
 #include "core/threadpool.hpp"
 #include "frameworks/plan_executor.hpp"
 #include "graph/model.hpp"
-#include "graph/parallel_executor.hpp"
 #include "graph/visitor.hpp"
 
 namespace d500::bench {
@@ -134,39 +132,39 @@ int run() {
 
   struct Row {
     std::string label;
+    std::string key;  // report metric prefix
     int threads;
     std::unique_ptr<GraphExecutor> exec;
     std::vector<double> times;
     std::uint64_t checksum = 0;
   };
-  auto make_row = [&](const std::string& label, int threads, bool inter_op) {
+  auto make_reference_row = [&](const std::string& label,
+                                const std::string& key, int threads) {
     Row r;
     r.label = label;
+    r.key = key;
     r.threads = threads;
-    if (inter_op)
-      r.exec = std::make_unique<ParallelExecutor>(build_network(m));
-    else
-      r.exec = std::make_unique<ReferenceExecutor>(build_network(m));
+    r.exec = std::make_unique<ReferenceExecutor>(build_network(m));
     return r;
   };
-  auto make_plan_row = [&](const std::string& label, int threads,
+  auto make_plan_row = [&](const std::string& label, const std::string& key,
                            bool inter_op) {
     Row r;
     r.label = label;
-    r.threads = threads;
+    r.key = key;
+    r.threads = par_threads;
     ExecOptions o;
     o.parallel = inter_op;
     r.exec = std::make_unique<PlanExecutor>(build_network(m), label, o);
     return r;
   };
   std::vector<Row> rows;
-  rows.push_back(make_row("reference (serial)", 1, false));
-  rows.push_back(make_row("parallel, 1 thread", 1, true));
-  rows.push_back(make_row("reference, intra-op only", par_threads, false));
-  rows.push_back(make_row("parallel, intra+inter-op", par_threads, true));
-  rows.push_back(make_plan_row("plan, intra-op only", par_threads, false));
-  rows.push_back(
-      make_plan_row("plan{parallel}, intra+inter-op", par_threads, true));
+  rows.push_back(make_reference_row("reference (serial)", "reference_serial", 1));
+  rows.push_back(make_reference_row("reference, intra-op only",
+                                    "reference_intra_op", par_threads));
+  rows.push_back(make_plan_row("plan, intra-op only", "plan_serial", false));
+  rows.push_back(make_plan_row("plan{parallel}, intra+inter-op",
+                               "plan_parallel", true));
 
   // Interleave the configurations round-robin: one timed step of each per
   // rerun, so background-load drift hits all rows equally instead of
@@ -198,35 +196,37 @@ int run() {
   std::cout << t.to_text();
 
   const double serial = summaries[0].median;
-  const double scheduler_overhead =
-      (summaries[1].median - serial) / serial * 100.0;
-  const double intra = serial / summaries[2].median;
+  const double intra = serial / summaries[1].median;
+  const double plan_intra = serial / summaries[2].median;
   const double full = serial / summaries[3].median;
-  std::cout << "\nscheduler overhead at 1 thread: "
-            << Table::num(scheduler_overhead, 2) << " %\n";
-  std::cout << "speedup at " << par_threads
-            << " threads: intra-op only " << Table::num(intra, 2)
-            << "x, intra+inter-op " << Table::num(full, 2) << "x\n";
-  std::cout << "plan engine at " << par_threads << " threads: intra-op only "
-            << Table::num(serial / summaries[4].median, 2)
-            << "x, parallel forward "
-            << Table::num(serial / summaries[5].median, 2) << "x\n";
+  std::cout << "\nspeedup at " << par_threads
+            << " threads: reference intra-op only " << Table::num(intra, 2)
+            << "x, plan intra-op only " << Table::num(plan_intra, 2)
+            << "x, plan intra+inter-op " << Table::num(full, 2) << "x\n";
   const bool deterministic = std::all_of(
       rows.begin(), rows.end(),
       [&](const Row& r) { return r.checksum == rows[0].checksum; });
   std::cout << "determinism: checksums identical across all rows: "
             << (deterministic ? "yes" : "NO") << "\n";
+
+  BenchReport report("parallel_executor");
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    report.add_summary(rows[i].key + ".step_s", summaries[i], "s");
+  report.add_flag("checksums_identical", deterministic);
   // Wall-clock speedup needs real cores; on a host with fewer cores than
-  // pool threads the honest expectation is no regression, not speedup.
+  // pool threads the honest expectation is no regression, not speedup, and
+  // the flag is left out.
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw >= static_cast<unsigned>(par_threads)) {
     std::cout << "shape check: intra+inter-op speedup > 1: "
               << (full > 1.0 ? "yes" : "NO") << "\n";
+    report.add_flag("inter_op_speedup_gt_1", full > 1.0);
   } else {
     std::cout << "shape check: no regression on " << hw
               << "-core host (speedup needs >= " << par_threads
               << " cores): " << (full > 0.85 ? "yes" : "NO") << "\n";
   }
+  report.write_file("BENCH_parallel.json");
   return deterministic ? 0 : 1;
 }
 

@@ -178,6 +178,62 @@ void run_chunks(void* ctx, std::int64_t) {
 
 }  // namespace
 
+namespace {
+
+/// One on_every_thread call, on the caller's stack.
+struct Broadcast {
+  Broadcast(ThreadPool::JobFn f, void* c, int copies)
+      : fn(f), ctx(c), started(copies) {}
+  ThreadPool::JobFn fn;
+  void* ctx;
+  Latch started;  // copies not yet started
+};
+
+void run_broadcast_copy(void* ctx, std::int64_t) {
+  Broadcast& b = *static_cast<Broadcast*>(ctx);
+  b.fn(b.ctx, 0);
+  ThreadPool& pool = ThreadPool::instance();
+  pool.count_down(b.started);
+  pool.wait(b.started, /*run_jobs=*/false);
+}
+
+/// Every ThreadScratch site's primer.
+struct ScratchSites {
+  std::mutex mu;
+  std::vector<void (*)()> primers;  // guarded by mu
+};
+
+ScratchSites& scratch_sites() {
+  static ScratchSites sites;
+  return sites;
+}
+
+}  // namespace
+
+void ThreadPool::on_every_thread(JobFn fn, void* ctx) {
+  const int copies = num_threads() - 1;
+  Broadcast b(fn, ctx, copies);
+  Latch done;
+  if (copies > 0) submit(&run_broadcast_copy, &b, 0, &done, copies);
+  fn(ctx, 0);
+  // Without running jobs: this thread taking a copy would leave a worker
+  // without one.
+  wait(done, /*run_jobs=*/false);
+}
+
+void detail::register_scratch_site(void (*prime)()) {
+  ScratchSites& s = scratch_sites();
+  std::lock_guard lock(s.mu);
+  s.primers.push_back(prime);
+}
+
+void prime_thread_scratch() {
+  if (metrics_enabled()) queue_wait_histogram().prepare_thread();
+  ScratchSites& s = scratch_sites();
+  std::lock_guard lock(s.mu);
+  for (void (*prime)() : s.primers) prime();
+}
+
 void detail::parallel_for_impl(std::int64_t begin, std::int64_t end,
                                std::int64_t grain, ChunkFn body, void* fn) {
   // The template wrapper (threadpool.hpp) handled the empty and serial
@@ -199,24 +255,37 @@ void detail::parallel_for_impl(std::int64_t begin, std::int64_t end,
   if (loop.error) std::rethrow_exception(loop.error);
 }
 
+void TaskGraph::reset(std::size_t n) {
+  unblocks.assign(n, {});
+  deps.assign(n, 0);
+  pending.reserve(n);
+  ready.reserve(n);
+}
+
+void TaskGraph::add_edge(int from, int to) {
+  unblocks[static_cast<std::size_t>(from)].push_back(to);
+  ++deps[static_cast<std::size_t>(to)];
+}
+
 namespace {
 
 /// One run_task_graph call, on the caller's stack.
-struct Graph {
+struct GraphRun {
   const std::vector<std::vector<int>>& unblocks;
-  std::vector<int>& deps;  // decremented through std::atomic_ref
-  const std::function<void(int)>& fn;
+  std::vector<int>& pending;  // decremented through std::atomic_ref
+  detail::TaskFn body;
+  void* fn;
   std::atomic<bool> failed{false};
   std::exception_ptr error{};  // written once, by whoever set `failed`
   Latch tasks{0};            // queued or running tasks
 };
 
 void run_graph_task(void* ctx, std::int64_t arg) {
-  Graph& g = *static_cast<Graph*>(ctx);
+  GraphRun& g = *static_cast<GraphRun*>(ctx);
   const auto i = static_cast<std::size_t>(arg);
   if (g.failed.load(std::memory_order_relaxed)) return;
   try {
-    g.fn(static_cast<int>(i));
+    g.body(g.fn, static_cast<int>(i));
   } catch (...) {
     if (!g.failed.exchange(true)) g.error = std::current_exception();
     return;
@@ -224,51 +293,50 @@ void run_graph_task(void* ctx, std::int64_t arg) {
   // Successors are counted into g.tasks before this task is counted out,
   // so the latch cannot reach zero while work remains.
   for (int c : g.unblocks[i])
-    if (std::atomic_ref<int>(g.deps[static_cast<std::size_t>(c)])
+    if (std::atomic_ref<int>(g.pending[static_cast<std::size_t>(c)])
             .fetch_sub(1, std::memory_order_acq_rel) == 1)
       ThreadPool::instance().submit(&run_graph_task, &g, c, &g.tasks);
 }
 
 }  // namespace
 
-void run_task_graph(const std::vector<std::vector<int>>& unblocks,
-                    std::vector<int> deps,
-                    const std::function<void(int)>& fn) {
-  const std::size_t n = deps.size();
-  D500_CHECK_MSG(unblocks.size() == n,
+void detail::run_task_graph_impl(TaskGraph& g, TaskFn body, void* fn) {
+  const std::size_t n = g.deps.size();
+  D500_CHECK_MSG(g.unblocks.size() == n,
                  "run_task_graph: unblocks/deps size mismatch");
   if (n == 0) return;
 
-  std::vector<int> ready;
-  ready.reserve(n);
+  // Both scratch vectors keep their capacity across runs.
+  g.pending.assign(g.deps.begin(), g.deps.end());
+  g.ready.clear();
   for (std::size_t i = 0; i < n; ++i)
-    if (deps[i] == 0) ready.push_back(static_cast<int>(i));
+    if (g.deps[i] == 0) g.ready.push_back(static_cast<int>(i));
 
   ThreadPool& pool = ThreadPool::instance();
   if (pool.num_threads() == 1) {
     // Serial path: FIFO over ready tasks, seeded in index order — a fixed,
     // deterministic topological schedule.
-    for (std::size_t k = 0; k < ready.size(); ++k) {
-      const int i = ready[k];
-      fn(i);
-      for (int c : unblocks[static_cast<std::size_t>(i)])
-        if (--deps[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
+    for (std::size_t k = 0; k < g.ready.size(); ++k) {
+      const int i = g.ready[k];
+      body(fn, i);
+      for (int c : g.unblocks[static_cast<std::size_t>(i)])
+        if (--g.pending[static_cast<std::size_t>(c)] == 0) g.ready.push_back(c);
     }
-    D500_CHECK_MSG(ready.size() == n,
+    D500_CHECK_MSG(g.ready.size() == n,
                    "run_task_graph: dependency graph stalled (cycle?)");
     return;
   }
 
-  Graph g{unblocks, deps, fn};
-  for (int r : ready) pool.submit(&run_graph_task, &g, r, &g.tasks);
+  GraphRun run{g.unblocks, g.pending, body, fn};
+  for (int r : g.ready) pool.submit(&run_graph_task, &run, r, &run.tasks);
   // The calling thread works the pool queue (graph tasks and any nested
   // parallel_for helpers) until nothing is queued or running.
-  pool.wait(g.tasks);
-  if (g.error) std::rethrow_exception(g.error);
+  pool.wait(run.tasks);
+  if (run.error) std::rethrow_exception(run.error);
   // With no error, a task that never ran is one still waiting on a count.
-  D500_CHECK_MSG(
-      std::none_of(deps.begin(), deps.end(), [](int d) { return d > 0; }),
-      "run_task_graph: dependency graph stalled (cycle?)");
+  D500_CHECK_MSG(std::none_of(g.pending.begin(), g.pending.end(),
+                              [](int d) { return d > 0; }),
+                 "run_task_graph: dependency graph stalled (cycle?)");
 }
 
 }  // namespace d500

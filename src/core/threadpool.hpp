@@ -24,7 +24,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -92,6 +91,11 @@ class ThreadPool {
   /// false: a job run on this thread could reuse that scratch.
   void wait(Latch& latch, bool run_jobs = true);
 
+  /// Runs fn(ctx, 0) once on every pool thread, the caller included, and
+  /// returns when all have. Each worker takes exactly one copy: a copy
+  /// holds its worker until every copy has started.
+  void on_every_thread(JobFn fn, void* ctx);
+
  private:
   explicit ThreadPool(int threads);
   /// The job loop of wait() and, with until == nullptr, of every worker.
@@ -117,6 +121,47 @@ class ThreadPool {
   int sleepers_ = 0;  // threads in wait(run_jobs = false) on cv_
   bool stopping_ = false;
   std::vector<std::thread> workers_;
+};
+
+namespace detail {
+/// Adds a ThreadScratch site's primer to the list prime_thread_scratch runs.
+void register_scratch_site(void (*prime)());
+}  // namespace detail
+
+/// Grows the calling thread's buffer at every ThreadScratch site to the
+/// largest size any thread has asked of that site, and allocates the
+/// thread's shard of the queue-wait histogram that serving a pool job
+/// records into.
+void prime_thread_scratch();
+
+/// Grow-only per-thread kernel scratch for the call site named by the tag
+/// type `Site`: get(n) returns this thread's buffer of at least n elements,
+/// allocating only to grow it. The site keeps the largest n any thread has
+/// asked for, so prime_thread_scratch() can grow a thread ahead of time:
+/// an inter-op schedule moves kernels between threads from step to step.
+/// Hand pool workers the caller's pointer: get() inside a parallel_for body
+/// returns the executing worker's own buffer.
+template <typename T, typename Site>
+class ThreadScratch {
+ public:
+  static T* get(std::size_t n) {
+    [[maybe_unused]] static const bool registered =
+        (detail::register_scratch_site(&prime), true);
+    std::size_t high = high_.load();
+    while (high < n && !high_.compare_exchange_weak(high, n)) {
+    }
+    return grow(n);
+  }
+
+ private:
+  static T* grow(std::size_t n) {
+    thread_local std::vector<T> buf;
+    if (buf.size() < n) buf.resize(n);
+    return buf.data();
+  }
+  static void prime() { grow(high_.load()); }
+
+  static inline std::atomic<std::size_t> high_{0};
 };
 
 namespace detail {
@@ -166,15 +211,46 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
 }
 
-/// Runs tasks 0..deps.size()-1 on the pool respecting a dependency DAG:
-/// deps[i] = number of prerequisites of task i; unblocks[i] lists the tasks
-/// whose dependency count drops when i completes (one entry per edge).
-/// Ready tasks are scheduled concurrently (inter-op parallelism); with a
+/// A dependency DAG for run_task_graph: deps[i] = number of prerequisites
+/// of task i; unblocks[i] lists the tasks whose count drops when i
+/// completes (one entry per edge). reset() also sizes the scratch a run
+/// works in, so running a graph built once allocates nothing.
+struct TaskGraph {
+  std::vector<std::vector<int>> unblocks;
+  std::vector<int> deps;
+  std::vector<int> pending;  // per-run dependency counts
+  std::vector<int> ready;    // per-run FIFO of the serial path
+
+  /// `n` tasks, no edges.
+  void reset(std::size_t n);
+  /// Task `to` waits for task `from`.
+  void add_edge(int from, int to);
+};
+
+namespace detail {
+/// Type-erased task body: calls (*static_cast<F*>(fn))(task).
+using TaskFn = void (*)(void* fn, int task);
+
+template <typename F>
+void call_task(void* fn, int task) {
+  (*static_cast<F*>(fn))(task);
+}
+
+void run_task_graph_impl(TaskGraph& g, TaskFn body, void* fn);
+}  // namespace detail
+
+/// Runs every task of `g` once on the pool, each after its prerequisites:
+/// ready tasks are scheduled concurrently (inter-op parallelism); with a
 /// single-thread pool, tasks run inline in deterministic FIFO order. The
 /// first exception aborts scheduling of further tasks and is rethrown after
-/// in-flight tasks drain. Throws Error on a stalled (cyclic) graph.
-void run_task_graph(const std::vector<std::vector<int>>& unblocks,
-                    std::vector<int> deps,
-                    const std::function<void(int)>& fn);
+/// in-flight tasks drain. Throws Error on a stalled (cyclic) graph. Like
+/// parallel_for, `fn` is reached through a trampoline.
+template <typename Fn>
+void run_task_graph(TaskGraph& g, Fn&& fn) {
+  using F = std::remove_reference_t<Fn>;
+  detail::run_task_graph_impl(
+      g, &detail::call_task<F>,
+      const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+}
 
 }  // namespace d500

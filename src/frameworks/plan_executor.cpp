@@ -84,6 +84,7 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
   value_is_feed_.clear();
   value_is_stored_.clear();
   grad_needed_.clear();
+  grad_parts_.clear();
   grad_publish_.clear();
   publish_at_step_.clear();
   publish_head_.clear();
@@ -163,10 +164,11 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
                            std::to_string(peak) + " exceeds limit " +
                            std::to_string(memory_limit_));
 
-  // Step dependency table for the parallel schedule: step j waits on step i
-  // when it reads a slot i produces (one edge per consumed slot).
-  step_unblocks_.assign(steps_.size(), {});
-  step_deps_.assign(steps_.size(), 0);
+  // Dependency tables for the parallel schedule, one edge per consumed
+  // slot: step j's forward waits on step i's when j reads a slot i
+  // produces, and (training only) i's backward waits on j's.
+  forward_graph_.reset(steps_.size());
+  backward_graph_.reset(training ? steps_.size() : 0);
   const int nslots = static_cast<int>(slot_names_.size());
   std::vector<int> producer(static_cast<std::size_t>(nslots), -1);
   std::vector<int> last_use(static_cast<std::size_t>(nslots), -1);
@@ -182,11 +184,9 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
   for (std::size_t j = 0; j < steps_.size(); ++j)
     for (int s : steps_[j].in_slots)
       if (const int p = producer[static_cast<std::size_t>(s)];
-          p >= 0 && p != static_cast<int>(j) &&
-          !value_is_feed_[static_cast<std::size_t>(s)]) {
-        step_unblocks_[static_cast<std::size_t>(p)].push_back(
-            static_cast<int>(j));
-        ++step_deps_[j];
+          p >= 0 && p != static_cast<int>(j)) {
+        forward_graph_.add_edge(p, static_cast<int>(j));
+        if (training) backward_graph_.add_edge(static_cast<int>(j), p);
       }
 
   // Bind value storage.
@@ -250,13 +250,9 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
           const int db = producer[static_cast<std::size_t>(seq[k])];
           if (db < 0) continue;  // feeds are staged before step 0
           if (!consumers[a].empty()) {
-            for (int c : consumers[a]) {
-              step_unblocks_[static_cast<std::size_t>(c)].push_back(db);
-              ++step_deps_[static_cast<std::size_t>(db)];
-            }
+            for (int c : consumers[a]) forward_graph_.add_edge(c, db);
           } else if (producer[a] >= 0) {
-            step_unblocks_[static_cast<std::size_t>(producer[a])].push_back(db);
-            ++step_deps_[static_cast<std::size_t>(db)];
+            forward_graph_.add_edge(producer[a], db);
           }
         }
     }
@@ -322,13 +318,28 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
       step.scratch.clear();
       step.scratch.resize(step.in_slots.size());
       step.bw_grad_in.assign(step.in_slots.size(), nullptr);
-      for (std::size_t k = 0; k < step.in_slots.size(); ++k) {
-        const auto su = static_cast<std::size_t>(step.in_slots[k]);
-        if (!grad_needed_[su]) continue;
-        step.scratch[k] = Tensor(step.in_shapes[k]);
-        step.bw_grad_in[k] = &step.scratch[k];
-      }
     }
+    // Gradient contributions in canonical order. A slot's only contribution
+    // is written straight into grads_[s]; several get one scratch each,
+    // summed by gather_grad.
+    grad_parts_.assign(static_cast<std::size_t>(nslots), {});
+    for (std::size_t i = steps_.size(); i-- > 0;)
+      for (std::size_t k = 0; k < steps_[i].in_slots.size(); ++k) {
+        const auto su = static_cast<std::size_t>(steps_[i].in_slots[k]);
+        if (grad_needed_[su])
+          grad_parts_[su].push_back({static_cast<int>(i), static_cast<int>(k)});
+      }
+    for (std::size_t s = 0; s < grad_parts_.size(); ++s)
+      for (const GradPart& p : grad_parts_[s]) {
+        Step& step = steps_[static_cast<std::size_t>(p.step)];
+        const auto k = static_cast<std::size_t>(p.input);
+        if (grad_parts_[s].size() == 1) {
+          step.bw_grad_in[k] = &grads_[s];
+        } else {
+          step.scratch[k] = Tensor(step.in_shapes[k]);
+          step.bw_grad_in[k] = &step.scratch[k];
+        }
+      }
     // Pre-create the published gradient tensors so backprop publishes by
     // copy-in-place instead of allocating a tensor per parameter per step.
     for (const auto& [pname, gname] : net_.gradients()) {
@@ -358,7 +369,7 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
         publish_at_step_[fit->second].push_back(static_cast<int>(j));
     }
   }
-  grad_live_.assign(slot_names_.size(), 0);
+  backward_ran_.assign(steps_.size(), 0);
 
   for (const auto& oname : net_.outputs()) {
     auto sit = slot_index_.find(oname);
@@ -370,6 +381,7 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
   build_prepack();
 
   compiled_ = true;
+  prime_pending_ = true;
 }
 
 void PlanExecutor::install_prepack(const Prepack& e, const float* panels,
@@ -610,8 +622,9 @@ void PlanExecutor::run_forward(const TensorMap& feeds) {
 
   if (options_.parallel && !steps_.empty()) {
     std::mutex mu;
-    run_task_graph(step_unblocks_, step_deps_,
-                   [&](int idx) { exec_step(static_cast<std::size_t>(idx), &mu); });
+    run_task_graph(forward_graph_, [this, &mu](int idx) {
+      exec_step(static_cast<std::size_t>(idx), &mu);
+    });
   } else {
     for (std::size_t idx = 0; idx < steps_.size(); ++idx)
       exec_step(idx, nullptr);
@@ -637,59 +650,100 @@ void PlanExecutor::publish_gradient(const GradPublish& gp) {
   }
 }
 
-void PlanExecutor::backprop_core(int loss_slot) {
-  grad_live_.assign(grad_live_.size(), 0);
-  for (std::size_t s = 0; s < grads_.size(); ++s)
-    if (grad_needed_[s]) grads_[s].fill(0.0f);
-  grads_[static_cast<std::size_t>(loss_slot)].fill(1.0f);
-  grad_live_[static_cast<std::size_t>(loss_slot)] = 1;
+void PlanExecutor::gather_grad(int slot, bool seed) {
+  const auto su = static_cast<std::size_t>(slot);
+  Tensor& g = grads_[su];
+  const std::vector<GradPart>& parts = grad_parts_[su];
+  if (parts.size() == 1) {
+    // Bound directly: the consumer's backward, if it ran, wrote g. The
+    // seed comes last, which gives the same bits as adding the
+    // contribution to it.
+    if (!backward_ran_[static_cast<std::size_t>(parts[0].step)]) g.fill(0.0f);
+    if (seed) g.data()[0] += 1.0f;
+    return;
+  }
+  // Like ReferenceExecutor: the seed or the first contribution is copied,
+  // the rest are added in order.
+  bool have = seed;
+  if (seed) g.fill(1.0f);
+  for (const GradPart& p : parts) {
+    const auto ps = static_cast<std::size_t>(p.step);
+    if (!backward_ran_[ps]) continue;
+    const Tensor& part = steps_[ps].scratch[static_cast<std::size_t>(p.input)];
+    if (have) {
+      axpy(1.0f, part, g);
+    } else if (part.elements() > 0) {
+      std::memcpy(g.data(), part.data(), part.bytes());
+    }
+    have = true;
+  }
+  if (!have) g.fill(0.0f);
+}
 
-  // Eager mode publishes each parameter gradient (and fires the hook) the
-  // moment the reverse walk passes the parameter's earliest consumer; the
-  // batch mode below publishes after the walk. Values and order match
-  // exactly — only the interleaving with backward ops differs.
-  const bool eager = options_.overlap_comm && grad_ready_hook_ != nullptr;
+void PlanExecutor::backward_step(std::size_t idx, int loss_slot) {
+  Step& step = steps_[idx];
+  // Every consumer of this step's outputs has been handled, so whether
+  // any of them ran is settled.
+  bool live = false;
+  for (int s : step.out_slots) {
+    live = live || s == loss_slot;
+    for (const GradPart& p : grad_parts_[static_cast<std::size_t>(s)])
+      live = live || backward_ran_[static_cast<std::size_t>(p.step)];
+  }
+  if (!live) return;
+  for (int s : step.out_slots) gather_grad(s, s == loss_slot);
+  // Backward may accumulate into its grad_in arguments.
+  for (Tensor* g : step.bw_grad_in)
+    if (g) g->fill(0.0f);
+  {
+    D500_TRACE_SCOPE("grad", step.node->name);
+    step.node->op->backward(step.bw_grad_out, step.fwd_in, step.bw_fwd_out,
+                            step.bw_grad_in);
+  }
+  backward_ran_[idx] = 1;
+}
+
+void PlanExecutor::backprop_core(int loss_slot) {
+  backward_ran_.assign(backward_ran_.size(), 0);
+
+  // Parameter gradients have no producer step: each is gathered just
+  // before it is published. Eager mode publishes each one (and fires the
+  // hook) the moment the reverse walk passes the parameter's earliest
+  // consumer; otherwise all are published after the backward pass. Values
+  // and order match exactly — only the interleaving with backward ops
+  // differs. The parallel schedule has no walk position, so it publishes
+  // after the drain.
+  auto publish = [&](const GradPublish& gp) {
+    if (gp.slot >= 0) gather_grad(gp.slot, false);
+    publish_gradient(gp);
+  };
+  const bool eager = options_.overlap_comm && grad_ready_hook_ != nullptr &&
+                     !options_.parallel;
   auto flush = [&](const std::vector<int>& ready) {
     for (int j : ready) {
       const GradPublish& gp = grad_publish_[static_cast<std::size_t>(j)];
-      publish_gradient(gp);
-      if (grad_ready_hook_) grad_ready_hook_(gp.pname, *gp.dst);
+      publish(gp);
+      grad_ready_hook_(gp.pname, *gp.dst);
     }
   };
   if (eager) flush(publish_head_);
 
-  for (std::size_t i = steps_.size(); i-- > 0;) {
-    Step& step = steps_[i];
-    bool any = false;
-    for (int s : step.out_slots)
-      if (grad_live_[static_cast<std::size_t>(s)]) any = true;
-    if (any) {
-      // Backward may accumulate into its grad_in arguments, so the scratch
-      // buffers are re-zeroed every step (they persist across steps).
-      for (std::size_t k = 0; k < step.bw_grad_in.size(); ++k)
-        if (step.bw_grad_in[k]) step.scratch[k].fill(0.0f);
-
-      {
-        D500_TRACE_SCOPE("grad", step.node->name);
-        step.node->op->backward(step.bw_grad_out, step.fwd_in, step.bw_fwd_out,
-                                step.bw_grad_in);
-      }
-
-      for (std::size_t k = 0; k < step.bw_grad_in.size(); ++k) {
-        if (!step.bw_grad_in[k]) continue;
-        const auto s = static_cast<std::size_t>(step.in_slots[k]);
-        axpy(1.0f, step.scratch[k], grads_[s]);
-        grad_live_[s] = 1;
-      }
+  if (options_.parallel && !steps_.empty()) {
+    run_task_graph(backward_graph_, [this, loss_slot](int idx) {
+      backward_step(static_cast<std::size_t>(idx), loss_slot);
+    });
+  } else {
+    for (std::size_t i = steps_.size(); i-- > 0;) {
+      backward_step(i, loss_slot);
+      if (eager) flush(publish_at_step_[i]);
     }
-    if (eager) flush(publish_at_step_[i]);
   }
 
   if (eager) return;  // every entry was flushed inline above
 
   // Publish parameter gradients in place (zero for parameters the compiled
   // graph never consumes), then fire the hook in canonical ready order.
-  for (const GradPublish& gp : grad_publish_) publish_gradient(gp);
+  for (const GradPublish& gp : grad_publish_) publish(gp);
   if (grad_ready_hook_) {
     auto fire = [&](const std::vector<int>& ready) {
       for (int j : ready) {
@@ -700,6 +754,19 @@ void PlanExecutor::backprop_core(int loss_slot) {
     fire(publish_head_);
     for (std::size_t i = steps_.size(); i-- > 0;) fire(publish_at_step_[i]);
   }
+}
+
+void PlanExecutor::prime_pool_threads() {
+  prime_pending_ = false;
+  if (!options_.parallel) return;
+  ThreadPool::instance().on_every_thread(
+      [](void* ctx, std::int64_t) {
+        const auto* self = static_cast<const PlanExecutor*>(ctx);
+        if (metrics_enabled())
+          for (const Step& step : self->steps_) step.lat->prepare_thread();
+        prime_thread_scratch();
+      },
+      this);
 }
 
 void PlanExecutor::refresh_outputs_view() {
@@ -735,6 +802,7 @@ const TensorMap& PlanExecutor::inference_step(const TensorMap& feeds) {
   if (has_events()) fire({EventPoint::kBeforeInference, -1, -1, net_.name(), 0.0});
   compile(feeds, /*training=*/false);
   run_forward(feeds);
+  if (prime_pending_ && !compiled_training_) prime_pool_threads();
   if (has_events()) fire({EventPoint::kAfterInference, -1, -1, net_.name(), 0.0});
   refresh_outputs_view();
   return outputs_view_;
@@ -754,6 +822,7 @@ const TensorMap& PlanExecutor::step(const TensorMap& feeds,
 
   if (has_events()) fire({EventPoint::kBeforeBackprop, -1, -1, net_.name(), 0.0});
   backprop_core(loss_slot);
+  if (prime_pending_) prime_pool_threads();
   if (has_events())
     fire({EventPoint::kAfterBackprop, -1, -1, net_.name(),
           static_cast<double>(

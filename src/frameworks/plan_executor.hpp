@@ -23,12 +23,15 @@
 //   * defensive_copy_shape_ops — Split/Concat stage through an extra
 //                            buffer (the memory-copy behaviour that slows
 //                            transformed graphs on TFSim, paper §V-C).
-//   * parallel             — forward steps are scheduled onto the shared
-//                            thread pool through the compiled dependency
-//                            table (inter-op parallelism); steps write
-//                            disjoint slots — memory-planned buffer
-//                            handoffs add anti-dependency edges — so
-//                            results match the serial walk bit for bit.
+//   * parallel             — forward and backward steps are scheduled onto
+//                            the shared thread pool through compiled
+//                            dependency tables (inter-op parallelism).
+//                            Forward steps write disjoint slots (buffer
+//                            handoffs add anti-dependency edges); a
+//                            backward step runs after every consumer of its
+//                            outputs and sums their contributions itself,
+//                            in a fixed order. Results match the serial
+//                            walk bit for bit.
 //   * memory_plan          — static buffer-reuse assignment for the
 //                            deferred path (no effect when
 //                            reuse_activations is off). On/off is
@@ -49,6 +52,7 @@
 
 #include <mutex>
 
+#include "core/threadpool.hpp"
 #include "graph/executor.hpp"
 #include "graph/passes/pass.hpp"
 
@@ -81,7 +85,11 @@ struct ExecOptions {
   //                          moves, which is what lets a distributed
   //                          optimizer launch bucket allreduces while the
   //                          rest of backprop still runs. No effect unless
-  //                          a hook is installed.
+  //                          a hook is installed. Under `parallel` the
+  //                          backward steps have no fixed order, so the
+  //                          hook fires after they all finish, in the same
+  //                          canonical order: the values are the same, only
+  //                          the timing moves.
   bool overlap_comm = overlap_comm_default();
   //   * passes             — plan-time graph compiler pipeline (graph/passes):
   //                          a D500_PASSES-style spec selecting which rewrite
@@ -146,12 +154,13 @@ class PlanExecutor : public GraphExecutor {
 
   /// Called once per trainable parameter per backprop, right after that
   /// parameter's gradient is published into Network storage, with the
-  /// parameter name and the published tensor. With overlap_comm on the
-  /// calls interleave with the remaining backward ops (fired from the
-  /// backprop thread the moment the gradient is final); with it off they
-  /// fire in one batch after the walk — in the same canonical
-  /// backward_ready_param_order either way. Distributed optimizers hang
-  /// gradient bucketing off this. Pass nullptr to uninstall.
+  /// parameter name and the published tensor. With overlap_comm on (and
+  /// parallel off) the calls interleave with the remaining backward ops
+  /// (fired from the backprop thread the moment the gradient is final);
+  /// otherwise they fire in one batch after the backward pass — in the
+  /// same canonical backward_ready_param_order either way. Distributed
+  /// optimizers hang gradient bucketing off this. Pass nullptr to
+  /// uninstall.
   using GradReadyHook = std::function<void(const std::string&, const Tensor&)>;
   void set_grad_ready_hook(GradReadyHook hook) {
     grad_ready_hook_ = std::move(hook);
@@ -179,8 +188,13 @@ class PlanExecutor : public GraphExecutor {
     // Backward tables (training compiles only).
     ConstTensors bw_grad_out;
     ConstTensors bw_fwd_out;
-    std::vector<Tensor> scratch;    // per-input grad contributions
-    MutTensors bw_grad_in;          // &scratch[k], or nullptr
+    std::vector<Tensor> scratch;    // contributions to multi-consumer slots
+    MutTensors bw_grad_in;          // &scratch[k], &grads_[s], or nullptr
+  };
+  /// One gradient contribution: steps_[step].bw_grad_in[input].
+  struct GradPart {
+    int step = -1;
+    int input = -1;
   };
 
   /// (Re)compiles the plan if the feed signature or mode changed.
@@ -191,9 +205,22 @@ class PlanExecutor : public GraphExecutor {
   /// serializes event hooks and launch-stats bookkeeping; kernels run
   /// outside it.
   void exec_step(std::size_t idx, std::mutex* mu);
-  /// Backward walk + gradient publish over the compiled tables. The
-  /// forward pass for the same compile must have run already.
+  /// Backward pass + gradient publish over the compiled tables: the
+  /// reverse walk, or with `parallel` the backward task graph. The forward
+  /// pass for the same compile must have run already.
   void backprop_core(int loss_slot);
+  /// One step's backward: skipped unless an output is the loss or feeds a
+  /// step whose backward ran; else gathers each output gradient, then runs
+  /// the op. Every consumer of its outputs must have been handled first.
+  void backward_step(std::size_t idx, int loss_slot);
+  /// Makes grads_[slot] the sum of the contributions of the consumers whose
+  /// backward ran, in grad_parts_ order, on top of 1.0 when `seed`.
+  void gather_grad(int slot, bool seed);
+  /// After the first run of a compile with `parallel` on: any step may land
+  /// on any pool thread, so every thread gets its kernel scratch and
+  /// latency-histogram shards sized for all steps, and later runs allocate
+  /// nothing.
+  void prime_pool_threads();
   int resolve_loss_slot(const std::string& loss_value) const;
   /// Points outputs_view_ entries at the current output slot storage
   /// (no-op on a warm planned step: the pointers have not moved).
@@ -223,6 +250,7 @@ class PlanExecutor : public GraphExecutor {
   // Compiled state.
   bool compiled_ = false;
   bool compiled_training_ = false;
+  bool prime_pending_ = false;  // prime_pool_threads() still to run
   struct FeedSig {
     std::string name;
     Shape shape;
@@ -230,8 +258,8 @@ class PlanExecutor : public GraphExecutor {
   };
   std::vector<FeedSig> feed_sig_;
   std::vector<Step> steps_;
-  std::vector<std::vector<int>> step_unblocks_;  // step -> dependent steps
-  std::vector<int> step_deps_;                   // prerequisite counts
+  TaskGraph forward_graph_;   // parallel: producer (and buffer) -> reader
+  TaskGraph backward_graph_;  // parallel: consumer -> producer
   std::map<std::string, int> slot_index_;
   std::vector<std::string> slot_names_;
   std::vector<Tensor> values_;       // activation slots (planned: views)
@@ -239,7 +267,12 @@ class PlanExecutor : public GraphExecutor {
   std::vector<bool> value_is_feed_;
   std::vector<bool> value_is_stored_;  // lives in Network tensors
   std::vector<bool> grad_needed_;
-  std::vector<char> grad_live_;        // per-backprop flags, reused
+  // Per gradient slot, its contributions in canonical order: descending
+  // step, then ascending input (the reverse walk's and ReferenceExecutor's
+  // order). A slot with exactly one is bound directly: that consumer's
+  // backward writes grads_[s], with no scratch and no add.
+  std::vector<std::vector<GradPart>> grad_parts_;
+  std::vector<char> backward_ran_;  // per step, per backprop; reused
 
   // Static memory plan storage: shared buffers handed between values.
   using PlanBuffer = std::unique_ptr<float[], void (*)(float*)>;

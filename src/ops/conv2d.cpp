@@ -151,29 +151,23 @@ namespace {
 
 // The one per-thread convolution workspace, shared by the im2col forward
 // and the backward so the two never hold separate whole-minibatch copies.
-// Grow-only and fully rewritten by each use, so warm steps do not allocate.
+// Grow-only (ThreadScratch) and fully rewritten by each use, so warm steps
+// do not allocate.
 //   col   — forward: im2col columns [K, N*spatial]; backward: the same
 //           columns lowered into packed-A panels, then dcol [K, N*spatial]
 //   stage — forward: filter-major GEMM output [F, N*spatial]; backward:
 //           filter-major dY [F, N*spatial], then a [Kp, F] tail for dW^T
 //           and the packed W^T panels (Kp = K padded to gemm_micro_mr())
-// Pool workers must write the CALLER's buffers: a thread_local named inside
-// a parallel_for body resolves to the worker's own instance, so callers
-// hand workers plain pointers.
-struct ConvWorkspace {
-  std::vector<float> col;
-  std::vector<float> stage;
-};
-
-ConvWorkspace& conv_workspace() {
-  thread_local ConvWorkspace ws;
-  return ws;
+// Pool workers must write the CALLER's buffers, so callers hand workers
+// plain pointers.
+float* conv_col(std::int64_t elems) {
+  return ThreadScratch<float, struct ConvCol>::get(
+      static_cast<std::size_t>(elems));
 }
 
-float* grow(std::vector<float>& v, std::int64_t elems) {
-  if (v.size() < static_cast<std::size_t>(elems))
-    v.resize(static_cast<std::size_t>(elems));
-  return v.data();
+float* conv_stage(std::int64_t elems) {
+  return ThreadScratch<float, struct ConvStage>::get(
+      static_cast<std::size_t>(elems));
 }
 
 // im2col of one sample straight into the packed-A panel layout that
@@ -294,8 +288,7 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
   const std::int64_t K = C * p.kernel_h * p.kernel_w;
   const std::int64_t spatial = Ho * Wo;
-  ConvWorkspace& ws = conv_workspace();
-  float* const col_buf = grow(ws.col, K * N * spatial);
+  float* const col_buf = conv_col(K * N * spatial);
   // col layout: row r holds sample-major columns [n*spatial + s]. Samples
   // lower straight into disjoint column slices, so they parallelise
   // trivially and need no per-thread scratch.
@@ -306,7 +299,7 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   });
   // One GEMM: [F, K] x [K, N*spatial] -> [F, N*spatial] (filter-major), then
   // scatter into NCHW output with the bias added.
-  float* const ybuf = grow(ws.stage, F * N * spatial);
+  float* const ybuf = conv_stage(F * N * spatial);
   // Same arithmetic as gemm(kPacked, ...); the optional prepacked_w skips
   // re-packing the filter panels when the plan executor cached them.
   gemm_packed_ex(F, N * spatial, K, 1.0f, Wt.data(), prepacked_w, col_buf,
@@ -400,17 +393,13 @@ void conv_winograd(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   const std::int64_t Ho = p.out_dim(H, 3);
   const std::int64_t Wo = p.out_dim(W, 3);
   // Pre-transform all filters: U[f][c] is a 4x4 tile. Grow-only
-  // per-thread workspace, fully rewritten each call.
-  thread_local std::vector<float> U;
-  if (U.size() < static_cast<std::size_t>(F) * C * 16)
-    U.resize(static_cast<std::size_t>(F) * C * 16);
+  // per-thread workspace, fully rewritten each call. Pool workers get the
+  // caller's pointer.
+  float* const U = ThreadScratch<float, struct WinogradU>::get(
+      static_cast<std::size_t>(F) * C * 16);
   for (std::int64_t f = 0; f < F; ++f)
     for (std::int64_t c = 0; c < C; ++c)
-      wino_transform_filter(Wt.data() + (f * C + c) * 9,
-                            U.data() + (f * C + c) * 16);
-  // Plain pointer so pool workers read the caller's U, not their own
-  // (empty) thread_local instance.
-  const float* const U_buf = U.data();
+      wino_transform_filter(Wt.data() + (f * C + c) * 9, U + (f * C + c) * 16);
 
   const std::int64_t tiles_h = (Ho + 1) / 2;
   const std::int64_t tiles_w = (Wo + 1) / 2;
@@ -420,9 +409,8 @@ void conv_winograd(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   // Tile rows of distinct samples write disjoint output tiles; flatten
   // (n, th) into one index space for the pool.
   parallel_for(0, N * tiles_h, 1, [&](std::int64_t lo, std::int64_t hi) {
-    thread_local std::vector<float> V;
-    if (V.size() < static_cast<std::size_t>(C) * 16)
-      V.resize(static_cast<std::size_t>(C) * 16);
+    float* const V = ThreadScratch<float, struct WinogradV>::get(
+        static_cast<std::size_t>(C) * 16);
     for (std::int64_t nt = lo; nt < hi; ++nt) {
       const std::int64_t n = nt / tiles_h;
       const std::int64_t th = nt % tiles_h;
@@ -442,16 +430,16 @@ void conv_winograd(const Tensor& X, const Tensor& Wt, const Tensor& bias,
           }
           float v[4][4];
           wino_transform_input(d, v);
-          std::memcpy(V.data() + c * 16, v, 16 * sizeof(float));
+          std::memcpy(V + c * 16, v, 16 * sizeof(float));
         }
         // Elementwise multiply-accumulate over channels, then inverse
         // transform per filter.
         for (std::int64_t f = 0; f < F; ++f) {
           float m[4][4] = {};
-          const float* Uf = U_buf + f * C * 16;
+          const float* Uf = U + f * C * 16;
           for (std::int64_t c = 0; c < C; ++c) {
             const float* u = Uf + c * 16;
-            const float* v = V.data() + c * 16;
+            const float* v = V + c * 16;
             for (int i = 0; i < 16; ++i)
               m[i / 4][i % 4] += u[i] * v[i];
           }
@@ -547,9 +535,8 @@ void Conv2DOp::backward(const ConstTensors& grad_outputs,
   const std::int64_t NS = N * spatial;
   const std::int64_t mr = gemm_micro_mr();
 
-  ConvWorkspace& ws = conv_workspace();
-  float* const col = grow(ws.col, gemm_packed_a_elems(K, NS));
-  float* const dyf = grow(ws.stage, F * NS + gemm_packed_a_elems(K, F));
+  float* const col = conv_col(gemm_packed_a_elems(K, NS));
+  float* const dyf = conv_stage(F * NS + gemm_packed_a_elems(K, F));
   float* const tail = dyf + F * NS;
 
   const float* const dy = dY.data();

@@ -368,15 +368,16 @@ void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
   // resolves to the executing worker's own (empty) instance, so hand
   // workers plain pointers instead. A and B panels pack in ONE parallel
   // region: indices below `mp` are A panels, the rest B panels.
-  thread_local std::vector<float> ws_a, ws_b;
   const std::int64_t need_a = packedA == nullptr ? mp : 0;
   const std::int64_t need_b = packedB == nullptr ? np : 0;
-  if (need_a && ws_a.size() < static_cast<std::size_t>(mp * K * kMR))
-    ws_a.resize(static_cast<std::size_t>(mp * K * kMR));
-  if (need_b && ws_b.size() < static_cast<std::size_t>(np * K * kNR))
-    ws_b.resize(static_cast<std::size_t>(np * K * kNR));
-  float* const pa_buf = need_a ? ws_a.data() : nullptr;
-  float* const pb_buf = need_b ? ws_b.data() : nullptr;
+  float* const pa_buf =
+      need_a ? ThreadScratch<float, struct GemmPackA>::get(
+                   static_cast<std::size_t>(mp * K * kMR))
+             : nullptr;
+  float* const pb_buf =
+      need_b ? ThreadScratch<float, struct GemmPackB>::get(
+                   static_cast<std::size_t>(np * K * kNR))
+             : nullptr;
   if (need_a + need_b > 0) {
     parallel_for(0, need_a + need_b, 4,
                  [&, pa_buf, pb_buf](std::int64_t p0, std::int64_t p1) {

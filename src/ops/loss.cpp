@@ -26,10 +26,9 @@ void SoftmaxCrossEntropyOp::forward(const ConstTensors& inputs,
   const Tensor& labels = *inputs[1];
   const std::int64_t B = Z.dim(0), C = Z.dim(1);
   // Grow-only per-thread workspace; softmax_rows fully rewrites it.
-  thread_local std::vector<float> probs;
-  if (probs.size() < static_cast<std::size_t>(B) * C)
-    probs.resize(static_cast<std::size_t>(B) * C);
-  softmax_rows(Z.data(), probs.data(), B, C);
+  float* const probs = ThreadScratch<float, struct SoftmaxCeProbs>::get(
+      static_cast<std::size_t>(B) * C);
+  softmax_rows(Z.data(), probs, B, C);
   double loss = 0.0;
   for (std::int64_t b = 0; b < B; ++b) {
     const auto label = static_cast<std::int64_t>(labels.at(b));

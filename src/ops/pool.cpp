@@ -1,7 +1,10 @@
 #include "ops/pool.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "core/threadpool.hpp"
 
 namespace d500 {
 
@@ -42,46 +45,45 @@ void Pool2DOp::forward(const ConstTensors& inputs, const MutTensors& outputs) {
   const std::int64_t Ho = params_.out_dim(H), Wo = params_.out_dim(W);
   const float* x = X.data();
   float* y = Y.data();
-  // Grow-only per-thread workspace (cleared per output element below).
-  thread_local std::vector<float> window;
-  window.reserve(static_cast<std::size_t>(params_.kernel) * params_.kernel);
+  // Grow-only per-thread workspace, refilled per output element below.
+  float* const window = ThreadScratch<float, struct PoolWindow>::get(
+      static_cast<std::size_t>(params_.kernel) * params_.kernel);
   for (std::int64_t nc = 0; nc < N * C; ++nc) {
     const float* xc = x + nc * H * W;
     float* yc = y + nc * Ho * Wo;
     for (std::int64_t oh = 0; oh < Ho; ++oh) {
       for (std::int64_t ow = 0; ow < Wo; ++ow) {
-        window.clear();
+        std::size_t n = 0;
         for (std::int64_t kh = 0; kh < params_.kernel; ++kh) {
           const std::int64_t ih = oh * params_.stride - params_.pad + kh;
           if (ih < 0 || ih >= H) continue;
           for (std::int64_t kw = 0; kw < params_.kernel; ++kw) {
             const std::int64_t iw = ow * params_.stride - params_.pad + kw;
             if (iw < 0 || iw >= W) continue;
-            window.push_back(xc[ih * W + iw]);
+            window[n++] = xc[ih * W + iw];
           }
         }
+        float* const end = window + n;
         float v = 0.0f;
-        if (!window.empty()) {
+        if (n > 0) {
           switch (kind_) {
             case PoolKind::kMax:
-              v = *std::max_element(window.begin(), window.end());
+              v = *std::max_element(window, end);
               break;
             case PoolKind::kAvg: {
               float acc = 0.0f;
-              for (float e : window) acc += e;
-              v = acc / static_cast<float>(window.size());
+              for (const float* e = window; e != end; ++e) acc += *e;
+              v = acc / static_cast<float>(n);
               break;
             }
             case PoolKind::kMedian: {
-              auto mid = window.begin() +
-                         static_cast<std::ptrdiff_t>(window.size() / 2);
-              std::nth_element(window.begin(), mid, window.end());
-              if (window.size() % 2 == 1) {
+              float* const mid = window + n / 2;
+              std::nth_element(window, mid, end);
+              if (n % 2 == 1) {
                 v = *mid;
               } else {
                 const float hi = *mid;
-                const float lo =
-                    *std::max_element(window.begin(), mid);
+                const float lo = *std::max_element(window, mid);
                 v = 0.5f * (lo + hi);
               }
               break;
@@ -108,6 +110,11 @@ void Pool2DOp::backward(const ConstTensors& grad_outputs,
   const float* x = X.data();
   const float* dy = dY.data();
   float* dx = dX.data();
+  // Grow-only per-thread scratch for the max/median windows, so warm steps
+  // stay allocation-free.
+  using Entry = std::pair<float, std::int64_t>;
+  Entry* const win = ThreadScratch<Entry, struct PoolBackwardWindow>::get(
+      static_cast<std::size_t>(params_.kernel) * params_.kernel);
   for (std::int64_t nc = 0; nc < N * C; ++nc) {
     const float* xc = x + nc * H * W;
     const float* dyc = dy + nc * Ho * Wo;
@@ -143,30 +150,27 @@ void Pool2DOp::backward(const ConstTensors& grad_outputs,
         // gradient to the selected element(s) — the argmax for max, the
         // middle order statistic for odd median windows, or half to each
         // of the two middle elements for even windows (matching the
-        // forward's average of the middle pair). Grow-only per-thread
-        // scratch so warm steps stay allocation-free.
-        thread_local std::vector<std::pair<float, std::int64_t>> win;
-        win.clear();
+        // forward's average of the middle pair).
+        std::size_t n = 0;
         for (std::int64_t kh = 0; kh < params_.kernel; ++kh) {
           const std::int64_t ih = oh * params_.stride - params_.pad + kh;
           if (ih < 0 || ih >= H) continue;
           for (std::int64_t kw = 0; kw < params_.kernel; ++kw) {
             const std::int64_t iw = ow * params_.stride - params_.pad + kw;
-            if (iw >= 0 && iw < W)
-              win.emplace_back(xc[ih * W + iw], ih * W + iw);
+            if (iw >= 0 && iw < W) win[n++] = {xc[ih * W + iw], ih * W + iw};
           }
         }
+        Entry* const end = win + n;
         if (kind_ == PoolKind::kMax) {
-          auto it = std::max_element(win.begin(), win.end());
+          const Entry* it = std::max_element(win, end);
           dxc[it->second] += g;
         } else {
-          auto mid = win.begin() +
-                     static_cast<std::ptrdiff_t>(win.size() / 2);
-          std::nth_element(win.begin(), mid, win.end());
-          if (win.size() % 2 == 1) {
+          Entry* const mid = win + n / 2;
+          std::nth_element(win, mid, end);
+          if (n % 2 == 1) {
             dxc[mid->second] += g;
           } else {
-            auto lo = std::max_element(win.begin(), mid);
+            const Entry* lo = std::max_element(win, mid);
             dxc[mid->second] += 0.5f * g;
             dxc[lo->second] += 0.5f * g;
           }

@@ -21,7 +21,6 @@
 #include "dist/dist_optimizer.hpp"
 #include "frameworks/framework.hpp"
 #include "frameworks/plan_executor.hpp"
-#include "graph/parallel_executor.hpp"
 #include "graph/shape_inference.hpp"
 #include "graph/visitor.hpp"
 #include "models/builders.hpp"
@@ -223,7 +222,7 @@ constexpr Engine kEngines[] = {Engine::kReference, Engine::kParallel,
 const char* engine_name(Engine e) {
   switch (e) {
     case Engine::kReference: return "reference";
-    case Engine::kParallel: return "parallel";
+    case Engine::kParallel: return "plan{parallel}";
     default: return "plan";
   }
 }
@@ -237,8 +236,8 @@ struct TrainRun {
 /// on a 2-rank world (both ranks see the same minibatch, so statistical
 /// behaviour matches single-process SGD while every collective still
 /// runs); returns rank 0's parameter checksum and per-step losses.
-/// `passes` selects the plan engine's compiler pipeline (D500_PASSES
-/// syntax); the other engines ignore it. `fault` (optional) installs a
+/// `passes` selects the plan engines' compiler pipeline (D500_PASSES
+/// syntax); the reference engine ignores it. `fault` (optional) installs a
 /// fault schedule on the world before training.
 TrainRun differential_train(Engine engine, int threads, bool overlap,
                             std::uint64_t seed,
@@ -257,10 +256,9 @@ TrainRun differential_train(Engine engine, int threads, bool overlap,
         exec = std::make_unique<ReferenceExecutor>(build_network(m));
         break;
       case Engine::kParallel:
-        exec = std::make_unique<ParallelExecutor>(build_network(m));
-        break;
       case Engine::kPlan: {
         ExecOptions opts;
+        opts.parallel = engine == Engine::kParallel;
         opts.overlap_comm = overlap;
         opts.passes = passes;
         exec = std::make_unique<PlanExecutor>(build_network(m), "plan", opts);
@@ -304,9 +302,8 @@ TEST_P(FuzzTrainingDifferential, BitIdenticalAcrossThreadsAndOverlap) {
   std::map<Engine, TrainRun> baseline;
   for (Engine e : kEngines) baseline[e] = differential_train(e, 1, false, seed);
 
-  // Reference and Parallel share a determinism contract: bit-identical to
-  // each other. Plan differs numerically (packed GEMM accumulation order),
-  // so it only has to stay close.
+  // Reference and plan{parallel} must be bit-identical to each other. The
+  // serial plan is only held to staying close here.
   EXPECT_EQ(baseline[Engine::kReference].param_checksum,
             baseline[Engine::kParallel].param_checksum)
       << "seed=" << seed;

@@ -440,12 +440,13 @@ TEST(MemoryPlanExecutor, StepViewsAreStableAndMatchBackprop) {
 // ZERO heap allocations — no tensor churn, no container growth, nothing.
 
 /// Heap allocations across 5 warm steps on a `threads`-thread pool.
-std::int64_t warm_step_allocs(const Model& m, int threads) {
+std::int64_t warm_step_allocs(const Model& m, int threads, bool parallel) {
   Trace::disable();  // deterministic gate state for the counted window
   Arena::instance().set_mode(ArenaMode::kArena);
   ThreadPool::instance().reset(threads);
   const TensorMap feeds = model_feeds(m, 3);
-  ExecOptions o;  // deferred engine, planner on, serial
+  ExecOptions o;  // deferred engine, planner on
+  o.parallel = parallel;
   PlanExecutor ex(build_network(m), "zero-alloc", o);
   for (int i = 0; i < 3; ++i) ex.step(feeds, "loss");  // compile + warm
 
@@ -456,13 +457,15 @@ std::int64_t warm_step_allocs(const Model& m, int threads) {
   return after - before;
 }
 
-/// Serial steps and multi-thread fan-out alike: the pool's dispatch keeps
-/// its per-call state on the caller's stack.
+/// Serial steps and multi-thread fan-out alike, with the plan's task
+/// graphs on and off: the pool's dispatch keeps its per-call state on the
+/// caller's stack, and a task graph's scratch is sized at compile time.
 void check_zero_alloc_warm_steps(const Model& m, const char* label) {
-  for (int threads : {1, 2, 4})
-    EXPECT_EQ(warm_step_allocs(m, threads), 0)
-        << label << " @" << threads << "t: heap allocations across 5 warm "
-        << "steps";
+  for (bool parallel : {false, true})
+    for (int threads : {1, 2, 4})
+      EXPECT_EQ(warm_step_allocs(m, threads, parallel), 0)
+          << label << (parallel ? " parallel" : " serial") << " @" << threads
+          << "t: heap allocations across 5 warm steps";
 }
 
 TEST(MemoryPlanExecutor, WarmMlpStepsDoZeroHeapAllocations) {

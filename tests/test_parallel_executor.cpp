@@ -1,6 +1,6 @@
 // Shared thread pool + inter-op parallel execution tests: parallel_for
 // decomposition/exceptions, run_task_graph scheduling, and the determinism
-// contract — ParallelExecutor (and PlanExecutor's parallel mode) must be
+// contract — PlanExecutor, with its parallel mode on and off, must be
 // bit-identical to the serial ReferenceExecutor at any D500_THREADS.
 #include <gtest/gtest.h>
 
@@ -9,12 +9,13 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/threadpool.hpp"
 #include "frameworks/plan_executor.hpp"
 #include "graph/executor.hpp"
-#include "graph/parallel_executor.hpp"
+#include "graph/model.hpp"
 #include "graph/visitor.hpp"
 #include "models/builders.hpp"
 
@@ -104,35 +105,69 @@ TEST(ParallelFor, NestedLoopsDoNotDeadlock) {
     for (int j = 0; j < 8; ++j) EXPECT_EQ(out[i * 8 + j], i + j);
 }
 
+TEST(ThreadPool, OnEveryThreadRunsOncePerThread) {
+  for (int threads : {1, 2, 4}) {
+    ThreadPool::instance().reset(threads);
+    struct Seen {
+      std::mutex mu;
+      std::vector<std::thread::id> ids;
+    } seen;
+    ThreadPool::instance().on_every_thread(
+        [](void* ctx, std::int64_t) {
+          auto& s = *static_cast<Seen*>(ctx);
+          std::lock_guard<std::mutex> lock(s.mu);
+          s.ids.push_back(std::this_thread::get_id());
+        },
+        &seen);
+    std::sort(seen.ids.begin(), seen.ids.end());
+    EXPECT_EQ(seen.ids.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(std::unique(seen.ids.begin(), seen.ids.end()), seen.ids.end())
+        << threads << " threads: a thread ran twice";
+  }
+}
+
 TEST(RunTaskGraph, RespectsDependencies) {
   ThreadPool::instance().reset(4);
   // Diamond: 0 -> {1, 2} -> 3.
-  std::vector<std::vector<int>> unblocks{{1, 2}, {3}, {3}, {}};
-  std::vector<int> deps{0, 1, 1, 2};
-  std::mutex mu;
-  std::vector<int> done;
-  run_task_graph(unblocks, deps, [&](int t) {
-    std::lock_guard<std::mutex> lock(mu);
-    done.push_back(t);
-  });
-  ASSERT_EQ(done.size(), 4u);
-  EXPECT_EQ(done.front(), 0);
-  EXPECT_EQ(done.back(), 3);
+  TaskGraph g;
+  g.reset(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  EXPECT_EQ(g.deps, (std::vector<int>{0, 1, 1, 2}));
+  // The graph is reusable: each run starts from the same counts.
+  for (int run = 0; run < 2; ++run) {
+    std::mutex mu;
+    std::vector<int> done;
+    run_task_graph(g, [&](int t) {
+      std::lock_guard<std::mutex> lock(mu);
+      done.push_back(t);
+    });
+    ASSERT_EQ(done.size(), 4u);
+    EXPECT_EQ(done.front(), 0);
+    EXPECT_EQ(done.back(), 3);
+  }
 }
 
 TEST(RunTaskGraph, CycleIsReportedNotDeadlocked) {
   ThreadPool::instance().reset(2);
   // 1 and 2 wait on each other; only 0 can run.
-  std::vector<std::vector<int>> unblocks{{1}, {2}, {1}};
-  std::vector<int> deps{0, 2, 1};
-  EXPECT_THROW(run_task_graph(unblocks, deps, [&](int) {}), Error);
+  TaskGraph g;
+  g.reset(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 1);
+  EXPECT_THROW(run_task_graph(g, [&](int) {}), Error);
 }
 
 TEST(RunTaskGraph, ExceptionPropagatesToCaller) {
   ThreadPool::instance().reset(4);
-  std::vector<std::vector<int>> unblocks{{1}, {2}, {}};
-  std::vector<int> deps{0, 1, 1};
-  EXPECT_THROW(run_task_graph(unblocks, deps,
+  TaskGraph g;
+  g.reset(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  EXPECT_THROW(run_task_graph(g,
                               [&](int t) {
                                 if (t == 1) throw std::runtime_error("task");
                               }),
@@ -174,57 +209,115 @@ struct RunResult {
   TensorMap grads;
 };
 
-RunResult run_backprop(GraphExecutor& exec, const TensorMap& feeds) {
+RunResult run_backprop(GraphExecutor& exec, const TensorMap& feeds,
+                       const std::string& loss = "loss") {
   RunResult r;
-  r.outputs = exec.inference_and_backprop(feeds, "loss");
+  r.outputs = exec.inference_and_backprop(feeds, loss);
   for (const auto& [pname, gname] : exec.network().gradients())
     r.grads[gname] = exec.network().fetch_tensor(gname);
   return r;
 }
 
-void check_model_determinism(const Model& m, const char* label) {
+/// PlanExecutor with `parallel` off and on, at 1, 2 and 4 threads, against
+/// the serial ReferenceExecutor: outputs and gradients bit for bit, for
+/// each loss value in turn (one executor per engine serves them all).
+void check_model_determinism(const Model& m, const char* label,
+                             const std::vector<std::string>& losses = {
+                                 "loss"}) {
   const TensorMap feeds = model_feeds(m, 77);
 
   ThreadPool::instance().reset(1);
   ReferenceExecutor ref(build_network(m));
-  const RunResult expected = run_backprop(ref, feeds);
-  ASSERT_FALSE(expected.outputs.empty()) << label;
+  std::vector<RunResult> expected;
+  for (const std::string& loss : losses) {
+    expected.push_back(run_backprop(ref, feeds, loss));
+    ASSERT_FALSE(expected.back().outputs.empty()) << label;
+  }
 
-  for (int threads : {1, 2, 4}) {
-    ThreadPool::instance().reset(threads);
-    ParallelExecutor par(build_network(m));
-    const RunResult got = run_backprop(par, feeds);
-    ASSERT_EQ(got.outputs.size(), expected.outputs.size()) << label;
-    for (const auto& [oname, t] : expected.outputs)
-      expect_bitwise_equal(got.outputs.at(oname), t,
-                           std::string(label) + " output " + oname + " @" +
-                               std::to_string(threads) + "t");
-    ASSERT_EQ(got.grads.size(), expected.grads.size()) << label;
-    for (const auto& [gname, t] : expected.grads)
-      expect_bitwise_equal(got.grads.at(gname), t,
-                           std::string(label) + " " + gname + " @" +
-                               std::to_string(threads) + "t");
+  for (bool parallel : {false, true}) {
+    for (int threads : {1, 2, 4}) {
+      ThreadPool::instance().reset(threads);
+      ExecOptions o;
+      o.parallel = parallel;
+      PlanExecutor plan(build_network(m), "plan", o);
+      for (std::size_t l = 0; l < losses.size(); ++l) {
+        const std::string where = std::string(label) + " loss=" + losses[l] +
+                                  (parallel ? " parallel" : " serial") +
+                                  " @" + std::to_string(threads) + "t";
+        const RunResult got = run_backprop(plan, feeds, losses[l]);
+        ASSERT_EQ(got.outputs.size(), expected[l].outputs.size()) << where;
+        for (const auto& [oname, t] : expected[l].outputs)
+          expect_bitwise_equal(got.outputs.at(oname), t,
+                               where + " output " + oname);
+        ASSERT_EQ(got.grads.size(), expected[l].grads.size()) << where;
+        for (const auto& [gname, t] : expected[l].grads)
+          expect_bitwise_equal(got.grads.at(gname), t, where + " " + gname);
+      }
+    }
   }
 }
 
-TEST(ParallelExecutor, MlpBitIdenticalToReference) {
+TEST(PlanExecutorParallel, MlpBitIdenticalToReference) {
   check_model_determinism(models::mlp(4, 32, {24, 16}, 4, 11), "mlp");
 }
 
-TEST(ParallelExecutor, LenetBitIdenticalToReference) {
+TEST(PlanExecutorParallel, LenetBitIdenticalToReference) {
   check_model_determinism(models::lenet(2, 1, 12, 12, 4, 12), "lenet");
 }
 
-TEST(ParallelExecutor, ResnetBitIdenticalToReference) {
+TEST(PlanExecutorParallel, ResnetBitIdenticalToReference) {
   check_model_determinism(models::resnet(2, 3, 8, 8, 4, 4, 1, 13), "resnet");
 }
 
-TEST(ParallelExecutor, AlexnetLikeBitIdenticalToReference) {
+TEST(PlanExecutorParallel, AlexnetLikeBitIdenticalToReference) {
   check_model_determinism(models::alexnet_like(2, 14, /*with_loss=*/true),
                           "alexnet_like");
 }
 
-TEST(ParallelExecutor, InferenceMatchesReferenceAndFiresEvents) {
+/// The cases the backward's accumulation rules must get right: one node
+/// reading a value on two inputs, a parameter shared by two nodes, a branch
+/// that never reaches the loss, and a loss value another node consumes.
+Model backward_edge_case_model() {
+  Rng rng(5);
+  ModelBuilder b("edge-cases");
+  b.input("data", {4, 6});
+  b.input("labels", {4});  // model_feeds draws labels from 0..3
+  b.input("target", {4, 4});
+  auto param = [&](const std::string& name, Shape shape) {
+    Tensor t(std::move(shape));
+    t.fill_uniform(rng, -0.5f, 0.5f);
+    b.initializer(name, std::move(t));
+  };
+  param("w1", {6, 6});
+  param("b1", {6});
+  param("w2", {4, 6});
+  param("b2", {4});
+  param("b3", {4});
+  param("w4", {2, 6});
+  param("b4", {2});
+  b.node("Linear", {"data", "w1", "b1"}, {"h"});
+  b.node("Add", {"h", "h"}, {"d"}, {}, "self_add");
+  b.node("Linear", {"d", "w2", "b2"}, {"z1"}, {}, "shared_w_a");
+  b.node("Linear", {"h", "w2", "b3"}, {"z2"}, {}, "shared_w_b");
+  b.node("Add", {"z1", "z2"}, {"logits"});
+  b.node("Linear", {"h", "w4", "b4"}, {"dead"}, {}, "off_loss_branch");
+  b.node("SoftmaxCrossEntropy", {"logits", "labels"}, {"loss"});
+  b.node("MSELoss", {"z2", "target"}, {"aux"});
+  b.node("Add", {"loss", "aux"}, {"total"}, {}, "loss_consumer");
+  b.output("dead");
+  b.output("loss");
+  b.output("total");
+  return b.build();
+}
+
+TEST(PlanExecutorParallel, BackwardEdgeCasesBitIdenticalToReference) {
+  // "loss": its consumer's backward never runs, and w4/b4 get zero
+  // gradients. "total": loss and aux are inner values with one consumer.
+  check_model_determinism(backward_edge_case_model(), "edge-cases",
+                          {"loss", "total", "loss"});
+}
+
+TEST(PlanExecutorParallel, InferenceMatchesReferenceAndFiresEvents) {
   struct Counter : Event {
     int before_op = 0, after_op = 0, before_inf = 0, after_inf = 0;
     bool on_event(const EventInfo& info) override {
@@ -246,12 +339,15 @@ TEST(ParallelExecutor, InferenceMatchesReferenceAndFiresEvents) {
   const TensorMap expected = ref.inference(feeds);
 
   ThreadPool::instance().reset(4);
-  ParallelExecutor par(build_network(m));
+  ExecOptions o;
+  o.parallel = true;
+  PlanExecutor par(build_network(m), "plan-parallel", o);
   auto counter = std::make_shared<Counter>();
   par.add_event(counter);
   const TensorMap got = par.inference(feeds);
   for (const auto& [oname, t] : expected)
     expect_bitwise_equal(got.at(oname), t, "inference output " + oname);
+  // Passes may fuse nodes: count the executor's own network.
   const int n_nodes = static_cast<int>(par.network().nodes().size());
   EXPECT_EQ(counter->before_op, n_nodes);
   EXPECT_EQ(counter->after_op, n_nodes);
@@ -259,9 +355,12 @@ TEST(ParallelExecutor, InferenceMatchesReferenceAndFiresEvents) {
   EXPECT_EQ(counter->after_inf, 1);
 }
 
-TEST(ParallelExecutor, HonorsMemoryLimit) {
+TEST(PlanExecutorParallel, HonorsMemoryLimit) {
   ThreadPool::instance().reset(4);
-  ParallelExecutor par(build_network(models::lenet(2, 1, 12, 12, 4, 31)));
+  ExecOptions o;
+  o.parallel = true;
+  PlanExecutor par(build_network(models::lenet(2, 1, 12, 12, 4, 31)),
+                   "plan-parallel", o);
   par.set_memory_limit(1);  // absurdly small: first allocation must trip it
   EXPECT_THROW(par.inference(model_feeds(models::lenet(2, 1, 12, 12, 4, 31), 5)),
                OutOfMemoryError);

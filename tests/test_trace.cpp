@@ -17,8 +17,8 @@
 #include "core/metrics.hpp"
 #include "core/threadpool.hpp"
 #include "core/trace.hpp"
+#include "frameworks/plan_executor.hpp"
 #include "graph/executor.hpp"
-#include "graph/parallel_executor.hpp"
 #include "graph/visitor.hpp"
 #include "models/builders.hpp"
 
@@ -353,13 +353,16 @@ TEST(TimelineMetric, RecordsEveryOperatorOnce) {
 TEST(TimelineMetric, HandlesInterleavedParallelDispatch) {
   ThreadPool::instance().reset(4);
   const Model m = models::resnet(2, 3, 8, 8, 4, 4, 1, 13);
-  ParallelExecutor exec(build_network(m));
+  ExecOptions o;
+  o.parallel = true;
+  PlanExecutor exec(build_network(m), "plan-parallel", o);
   auto timeline = std::make_shared<TimelineMetric>();
   exec.add_event(timeline);
   for (int r = 0; r < 3; ++r) exec.inference(model_feeds(m, 7));
 
   const auto ops = timeline->op_stats();
-  const std::size_t n_nodes = build_network(m).topological_order().size();
+  // Passes may fuse nodes: count the executor's own network.
+  const std::size_t n_nodes = exec.network().topological_order().size();
   EXPECT_EQ(ops.size(), n_nodes);
   for (const auto& [op, st] : ops) EXPECT_EQ(st.calls, 3) << op;
 }
