@@ -9,10 +9,13 @@
 //  * E3: the L-inf norm between each framework's output and the Deep500
 //    reference implementation (paper §V-B: ~7e-4),
 //  * the backward pass (dX + dW + db) per size: GFLOP/s as a summary with
-//    CI, and whether it matches the per-sample naive-GEMM reference.
+//    CI, and whether it matches the per-sample naive-GEMM reference,
+//  * whether the im2col (implicit-GEMM) forward is bitwise equal to
+//    conv2d_forward_reference at every size.
 // Results land in BENCH_conv.json.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iostream>
 
 #include "common.hpp"
@@ -71,15 +74,21 @@ double rel_linf(const Tensor& got, const Tensor& ref) {
 struct BackwardResult {
   SampleSummary gflops;  // per-call rate of one dX + dW + db backward
   double rel_err = 0;    // worst rel_linf over dX, dW, db
+  bool fwd_bitwise = false;  // forward Y == conv2d_forward_reference's
 };
 
 /// Times Conv2DOp::backward (im2col backend) on random dY and checks it
-/// against conv2d_backward_reference.
+/// against conv2d_backward_reference, and the forward it runs first
+/// against conv2d_forward_reference.
 BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
                                 int reruns) {
   const Conv2DParams p{s.R, s.R, s.stride, s.pad, 1};
   Conv2DOp op(p);
   op.forward({&d.x, &d.w, &d.b}, {&d.y});
+  Tensor ref_y(d.y.shape());
+  conv2d_forward_reference(d.x, d.w, d.b, p, &ref_y);
+  const bool fwd_bitwise =
+      std::memcmp(d.y.data(), ref_y.data(), d.y.bytes()) == 0;
   Tensor dy(d.y.shape());
   dy.fill_uniform(rng, -1, 1);
   Tensor dx(d.x.shape()), dw(d.w.shape()), db(d.b.shape());
@@ -102,6 +111,7 @@ BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
   res.gflops = summarize(rates);
   res.rel_err =
       std::max({rel_linf(dx, rx), rel_linf(dw, rw), rel_linf(db, rb)});
+  res.fwd_bitwise = fwd_bitwise;
   return res;
 }
 
@@ -168,6 +178,7 @@ int run() {
   BenchReport report("l0_conv");
   Table bwd({"size", "backward GFLOP/s [95% CI]", "rel L-inf vs reference"});
   bool bwd_matches = true;
+  bool fwd_matches = true;
   for (const ConvSize& s : sizes) {
     ConvData d = make_data(s, rng);
     const BackwardResult r = measure_backward(s, d, rng, sweep_reruns);
@@ -176,6 +187,7 @@ int run() {
     report.add_summary("bwd." + size_label(s) + ".gflops", r.gflops,
                        "GFLOP/s", Better::kHigher);
     bwd_matches = bwd_matches && r.rel_err <= kBwdTol;
+    fwd_matches = fwd_matches && r.fwd_bitwise;
   }
 
   std::cout << "\n-- All kernels (per-size medians, ms: p25 / median / p75) --\n";
@@ -231,6 +243,9 @@ int run() {
                "GEMMs) vs per-sample naive reference, tolerance "
             << kBwdTol << " --\n"
             << bwd.to_text();
+  std::cout << "\nim2col forward bitwise equal to conv2d_forward_reference "
+               "at every size: "
+            << (fwd_matches ? "yes" : "NO") << "\n";
 
   std::cout << "\nshape check: deepbench baseline fastest at highlighted "
                "size: "
@@ -240,6 +255,7 @@ int run() {
     report.add_scalar("linf." + name, v, "abs");
   report.add_flag("deepbench_fastest", deepbench_fastest);
   report.add_flag("bwd_matches_reference", bwd_matches);
+  report.add_flag("fwd_matches_reference", fwd_matches);
   JsonWriter extra;
   extra.begin_object();
   extra.key("highlight_size");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/metrics_registry.hpp"
@@ -52,6 +53,7 @@ void ThreadPool::reset(int threads) {
     stopping_ = false;
     head_ = size_ = 0;
   }
+  generation_.fetch_add(1, std::memory_order_acq_rel);
   // threads counts the calling thread; workers are the rest. Wait until all
   // are up, so none does its one-time setup inside a later step.
   Latch started(threads - 1);
@@ -197,10 +199,10 @@ void run_broadcast_copy(void* ctx, std::int64_t) {
   pool.wait(b.started, /*run_jobs=*/false);
 }
 
-/// Every ThreadScratch site's primer.
+/// Every ThreadScratch site's primer, with the site's ScratchUse.
 struct ScratchSites {
   std::mutex mu;
-  std::vector<void (*)()> primers;  // guarded by mu
+  std::vector<std::pair<void (*)(), ScratchUse>> primers;  // guarded by mu
 };
 
 ScratchSites& scratch_sites() {
@@ -221,17 +223,18 @@ void ThreadPool::on_every_thread(JobFn fn, void* ctx) {
   wait(done, /*run_jobs=*/false);
 }
 
-void detail::register_scratch_site(void (*prime)()) {
+void detail::register_scratch_site(void (*prime)(), ScratchUse use) {
   ScratchSites& s = scratch_sites();
   std::lock_guard lock(s.mu);
-  s.primers.push_back(prime);
+  s.primers.emplace_back(prime, use);
 }
 
-void prime_thread_scratch() {
+void prime_thread_scratch(bool helper_sites_only) {
   if (metrics_enabled()) queue_wait_histogram().prepare_thread();
   ScratchSites& s = scratch_sites();
   std::lock_guard lock(s.mu);
-  for (void (*prime)() : s.primers) prime();
+  for (const auto& [prime, use] : s.primers)
+    if (!helper_sites_only || use == ScratchUse::kHelper) prime();
 }
 
 void detail::parallel_for_impl(std::int64_t begin, std::int64_t end,

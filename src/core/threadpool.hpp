@@ -72,6 +72,13 @@ class ThreadPool {
   /// while parallel work is in flight.
   void reset(int threads);
 
+  /// Counts reset() calls. The workers of a new generation start with
+  /// empty thread_local scratch, so whoever primed the old ones compares
+  /// this to know when to prime again.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   /// Queues `copies` jobs fn(ctx, arg), each counted into `latch` (if any)
   /// now and out when it returns or is retracted. Jobs must not throw, and
   /// must block only through wait().
@@ -93,7 +100,9 @@ class ThreadPool {
 
   /// Runs fn(ctx, 0) once on every pool thread, the caller included, and
   /// returns when all have. Each worker takes exactly one copy: a copy
-  /// holds its worker until every copy has started.
+  /// holds its worker until every copy has started. Broadcasts from
+  /// several threads at once do not interleave: each queues its copies in
+  /// one go, and workers take jobs in queue order.
   void on_every_thread(JobFn fn, void* ctx);
 
  private:
@@ -121,32 +130,44 @@ class ThreadPool {
   int sleepers_ = 0;  // threads in wait(run_jobs = false) on cv_
   bool stopping_ = false;
   std::vector<std::thread> workers_;
+  std::atomic<std::uint64_t> generation_{0};
 };
+
+/// Who asks a ThreadScratch site for its buffer.
+///   kCaller — the thread running the kernel, before it fans out (workers
+///             get the caller's pointer). Only a thread that runs whole
+///             kernels needs it: with a serial schedule, that is always
+///             the stepping thread.
+///   kHelper — every thread that runs a parallel_for chunk of the kernel,
+///             each for a buffer of its own. Which pool threads those are
+///             changes from call to call, at any schedule.
+enum class ScratchUse { kCaller, kHelper };
 
 namespace detail {
 /// Adds a ThreadScratch site's primer to the list prime_thread_scratch runs.
-void register_scratch_site(void (*prime)());
+void register_scratch_site(void (*prime)(), ScratchUse use);
 }  // namespace detail
 
-/// Grows the calling thread's buffer at every ThreadScratch site to the
-/// largest size any thread has asked of that site, and allocates the
-/// thread's shard of the queue-wait histogram that serving a pool job
-/// records into.
-void prime_thread_scratch();
+/// Grows the calling thread's buffer at every ThreadScratch site (or, with
+/// `helper_sites_only`, at every kHelper site) to the largest size any
+/// thread has asked of that site, and allocates the thread's shard of the
+/// queue-wait histogram that serving a pool job records into.
+void prime_thread_scratch(bool helper_sites_only = false);
 
 /// Grow-only per-thread kernel scratch for the call site named by the tag
 /// type `Site`: get(n) returns this thread's buffer of at least n elements,
 /// allocating only to grow it. The site keeps the largest n any thread has
 /// asked for, so prime_thread_scratch() can grow a thread ahead of time:
-/// an inter-op schedule moves kernels between threads from step to step.
-/// Hand pool workers the caller's pointer: get() inside a parallel_for body
-/// returns the executing worker's own buffer.
-template <typename T, typename Site>
+/// an inter-op schedule moves kernels between threads from step to step,
+/// and a kHelper site is used by whichever threads claim chunks. Hand pool
+/// workers the caller's pointer from a kCaller site: get() inside a
+/// parallel_for body returns the executing worker's own buffer.
+template <typename T, typename Site, ScratchUse Use = ScratchUse::kCaller>
 class ThreadScratch {
  public:
   static T* get(std::size_t n) {
     [[maybe_unused]] static const bool registered =
-        (detail::register_scratch_site(&prime), true);
+        (detail::register_scratch_site(&prime, Use), true);
     std::size_t high = high_.load();
     while (high < n && !high_.compare_exchange_weak(high, n)) {
     }

@@ -381,7 +381,7 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
   build_prepack();
 
   compiled_ = true;
-  prime_pending_ = true;
+  primed_generation_ = 0;  // no pool generation
 }
 
 void PlanExecutor::install_prepack(const Prepack& e, const float* panels,
@@ -757,11 +757,16 @@ void PlanExecutor::backprop_core(int loss_slot) {
 }
 
 void PlanExecutor::prime_pool_threads() {
-  prime_pending_ = false;
-  if (!options_.parallel) return;
-  ThreadPool::instance().on_every_thread(
+  ThreadPool& pool = ThreadPool::instance();
+  if (primed_generation_ == pool.generation()) return;
+  primed_generation_ = pool.generation();
+  pool.on_every_thread(
       [](void* ctx, std::int64_t) {
         const auto* self = static_cast<const PlanExecutor*>(ctx);
+        if (!self->options_.parallel) {
+          prime_thread_scratch(/*helper_sites_only=*/true);
+          return;
+        }
         if (metrics_enabled())
           for (const Step& step : self->steps_) step.lat->prepare_thread();
         prime_thread_scratch();
@@ -802,7 +807,7 @@ const TensorMap& PlanExecutor::inference_step(const TensorMap& feeds) {
   if (has_events()) fire({EventPoint::kBeforeInference, -1, -1, net_.name(), 0.0});
   compile(feeds, /*training=*/false);
   run_forward(feeds);
-  if (prime_pending_ && !compiled_training_) prime_pool_threads();
+  if (!compiled_training_) prime_pool_threads();
   if (has_events()) fire({EventPoint::kAfterInference, -1, -1, net_.name(), 0.0});
   refresh_outputs_view();
   return outputs_view_;
@@ -822,7 +827,7 @@ const TensorMap& PlanExecutor::step(const TensorMap& feeds,
 
   if (has_events()) fire({EventPoint::kBeforeBackprop, -1, -1, net_.name(), 0.0});
   backprop_core(loss_slot);
-  if (prime_pending_) prime_pool_threads();
+  prime_pool_threads();
   if (has_events())
     fire({EventPoint::kAfterBackprop, -1, -1, net_.name(),
           static_cast<double>(

@@ -216,10 +216,14 @@ class PlanExecutor : public GraphExecutor {
   /// Makes grads_[slot] the sum of the contributions of the consumers whose
   /// backward ran, in grad_parts_ order, on top of 1.0 when `seed`.
   void gather_grad(int slot, bool seed);
-  /// After the first run of a compile with `parallel` on: any step may land
-  /// on any pool thread, so every thread gets its kernel scratch and
-  /// latency-histogram shards sized for all steps, and later runs allocate
-  /// nothing.
+  /// After the first run of a compile, and again after a ThreadPool::reset
+  /// (new workers start with empty scratch): a no-op once this compile has
+  /// primed the pool's current generation. With `parallel` on, any step may
+  /// land on any pool thread, so every thread gets its kernel scratch and
+  /// latency-histogram shards sized for all steps. With `parallel` off, the
+  /// stepping thread warmed its own scratch by running the step, and every
+  /// thread gets only the kHelper sites that parallel_for chunks use.
+  /// Either way later runs allocate nothing.
   void prime_pool_threads();
   int resolve_loss_slot(const std::string& loss_value) const;
   /// Points outputs_view_ entries at the current output slot storage
@@ -250,7 +254,8 @@ class PlanExecutor : public GraphExecutor {
   // Compiled state.
   bool compiled_ = false;
   bool compiled_training_ = false;
-  bool prime_pending_ = false;  // prime_pool_threads() still to run
+  // ThreadPool::generation() last primed; 0 (none) after a compile.
+  std::uint64_t primed_generation_ = 0;
   struct FeedSig {
     std::string name;
     Shape shape;

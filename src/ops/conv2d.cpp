@@ -147,16 +147,41 @@ void conv2d_backward_reference(const Tensor& X, const Tensor& Wt,
   }
 }
 
+void conv2d_forward_reference(const Tensor& X, const Tensor& Wt,
+                              const Tensor& bias, const Conv2DParams& p,
+                              Tensor* Y, const Activation* chain,
+                              int chain_len, Tensor* pre) {
+  const std::int64_t N = X.dim(0), C = X.dim(1), H = X.dim(2), W = X.dim(3);
+  const std::int64_t F = Wt.dim(0);
+  const std::int64_t K = C * p.kernel_h * p.kernel_w;
+  const std::int64_t spatial =
+      p.out_dim(H, p.kernel_h) * p.out_dim(W, p.kernel_w);
+  std::vector<float> col(static_cast<std::size_t>(K * spatial));
+  for (std::int64_t n = 0; n < N; ++n) {
+    im2col(X.data() + n * C * H * W, C, H, W, p, col.data());
+    // Sample n of Y is the [F, spatial] product.
+    float* const y = Y->data() + n * F * spatial;
+    gemm(GemmBackend::kPacked, F, spatial, K, 1.0f, Wt.data(), col.data(),
+         0.0f, y);
+    for (std::int64_t f = 0; f < F; ++f) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        const std::int64_t i = f * spatial + s;
+        simd::Vec1 v = simd::Vec1{y[i]} + simd::Vec1{bias.at(f)};
+        if (pre != nullptr) pre->data()[n * F * spatial + i] = v.v;
+        for (int l = 0; l < chain_len; ++l) v = apply_activation(chain[l], v);
+        y[i] = v.v;
+      }
+    }
+  }
+}
+
 namespace {
 
-// The one per-thread convolution workspace, shared by the im2col forward
-// and the backward so the two never hold separate whole-minibatch copies.
-// Grow-only (ThreadScratch) and fully rewritten by each use, so warm steps
-// do not allocate.
-//   col   — forward: im2col columns [K, N*spatial]; backward: the same
-//           columns lowered into packed-A panels, then dcol [K, N*spatial]
-//   stage — forward: filter-major GEMM output [F, N*spatial]; backward:
-//           filter-major dY [F, N*spatial], then a [Kp, F] tail for dW^T
+// The backward's per-thread workspace. Grow-only (ThreadScratch) and fully
+// rewritten by each use, so warm steps do not allocate.
+//   col   — the im2col columns lowered into packed-A panels [Kp, N*spatial],
+//           then dcol [K, N*spatial]
+//   stage — filter-major dY [F, N*spatial], then a [Kp, F] tail for dW^T
 //           and the packed W^T panels (Kp = K padded to gemm_micro_mr())
 // Pool workers must write the CALLER's buffers, so callers hand workers
 // plain pointers.
@@ -167,6 +192,13 @@ float* conv_col(std::int64_t elems) {
 
 float* conv_stage(std::int64_t elems) {
   return ThreadScratch<float, struct ConvStage>::get(
+      static_cast<std::size_t>(elems));
+}
+
+// The forward's per-thread K x NR B panel plus its MR x NR output tile.
+// Every thread that runs a chunk of the forward takes its own.
+float* conv_panel(std::int64_t elems) {
+  return ThreadScratch<float, struct ConvPanel, ScratchUse::kHelper>::get(
       static_cast<std::size_t>(elems));
 }
 
@@ -268,17 +300,34 @@ void conv_direct(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   });
 }
 
-// Whole-minibatch lowering: the column buffer covers all N samples at once
-// (col is [K, N*spatial]), enabling a single large GEMM per minibatch —
-// fast, but with workspace proportional to the minibatch size. This is the
-// batch-scaling workspace behaviour (as in cuDNN's non-fused algorithms)
-// that the paper's micro-batching transformation (§V-C) exploits: splitting
-// the minibatch shrinks this buffer and removes OOMs.
-// `chain`/`chain_len`/`save_pre` are the op's fused epilogue: the bias add
-// was always part of the scatter below, and under EpilogueMode::kFused the
-// activation chain (plus the optional pre-chain save-out for the backward)
-// rides the same pass — per-element maps, so the result is bit-identical to
-// the post-sweep path at any dispatch mode or thread count.
+// Columns of a packed B panel: gemm.cpp's kNR, a build constant.
+constexpr std::int64_t kPanelCols = 2 * simd::kNativeWidth;
+
+// One output row's share of a column panel: panel columns [jj, jj + len)
+// are output pixels (oh, ow .. ow + len) of sample n. A panel is NR
+// consecutive columns of the N*Ho*Wo output grid, so it may hold several
+// rows, and rows of several samples.
+struct RowSegment {
+  std::int64_t x0;   // n * C * H * W: sample n's offset in X
+  std::int64_t ih0;  // oh * stride - pad: input row of kernel row 0
+  std::int64_t ow, len, jj;
+};
+
+// Implicit-GEMM forward: Y[n, f, s] = sum_k W[f, k] * col[k, n*Ho*Wo + s]
+// + bias[f], with the column matrix never written. The pool splits the
+// NR-wide column panels of N*Ho*Wo; each builds its K x NR packed B panel
+// straight from X in a per-thread buffer, one output-row segment at a time
+// (a contiguous copy at stride 1, else a strided gather, over the tap's
+// valid_cols range, zeros outside it), then runs one microkernel tile per
+// MR-filter block of the packed A panels. Bias, the fused chain and the
+// save_pre copy apply on the L1-resident tile, which is stored straight
+// into Y's NCHW rows: a panel's columns are contiguous in each sample's
+// (n, f) plane, so only a panel crossing a sample boundary stores in two
+// pieces. Each output element is the same ascending-k fma chain, the same
+// B values and the same per-lane bias and chain maps as the lowering
+// through a column matrix, a GEMM and a scatter (conv2d_forward_reference),
+// so Y is bitwise identical to it at any thread count and dispatch mode.
+// `chain`/`chain_len`/`save_pre` are the op's fused epilogue.
 void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
                  Tensor& Y, const Conv2DParams& p, const float* prepacked_w,
                  const Activation* chain, int chain_len, float* save_pre) {
@@ -288,45 +337,115 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
   const std::int64_t K = C * p.kernel_h * p.kernel_w;
   const std::int64_t spatial = Ho * Wo;
-  float* const col_buf = conv_col(K * N * spatial);
-  // col layout: row r holds sample-major columns [n*spatial + s]. Samples
-  // lower straight into disjoint column slices, so they parallelise
-  // trivially and need no per-thread scratch.
-  parallel_for(0, N, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t n = lo; n < hi; ++n)
-      im2col(X.data() + n * C * H * W, C, H, W, p, col_buf + n * spatial,
-             N * spatial);
-  });
-  // One GEMM: [F, K] x [K, N*spatial] -> [F, N*spatial] (filter-major), then
-  // scatter into NCHW output with the bias added.
-  float* const ybuf = conv_stage(F * N * spatial);
-  // Same arithmetic as gemm(kPacked, ...); the optional prepacked_w skips
-  // re-packing the filter panels when the plan executor cached them.
-  gemm_packed_ex(F, N * spatial, K, 1.0f, Wt.data(), prepacked_w, col_buf,
-                 nullptr, /*b_transposed=*/false, 0.0f, ybuf);
-  // Filter-major -> NCHW scatter with the bias (and, when fused, the
-  // activation chain) applied in flight. Each (n, f) plane is disjoint, so
-  // the decomposition is a pure function of the problem size.
-  float* const y = Y.data();
-  const float* const src0 = ybuf;
+  const std::int64_t NS = N * spatial;
+  const std::int64_t mr = gemm_micro_mr();
+  const std::int64_t nr = gemm_micro_nr();
+  const std::int64_t mp = (F + mr - 1) / mr;
+  const std::int64_t np = (NS + nr - 1) / nr;
+
+  const float* pa = prepacked_w;
+  if (pa == nullptr) {
+    float* const buf = ThreadScratch<float, struct ConvPackA>::get(
+        static_cast<std::size_t>(gemm_packed_a_elems(F, K)));
+    gemm_pack_a(F, K, Wt.data(), buf);
+    pa = buf;
+  }
+  ValidCols* const taps = ThreadScratch<ValidCols, struct ConvTaps>::get(
+      static_cast<std::size_t>(p.kernel_w));
+  for (std::int64_t kw = 0; kw < p.kernel_w; ++kw)
+    taps[kw] = valid_cols(kw * p.dilation - p.pad, p.stride, W, Wo);
+
+  const float* const x = X.data();
   const float* const b = bias.data();
+  float* const y = Y.data();
+  D500_CHECK(nr == kPanelCols);
+  // About 64k multiply-adds per chunk: a function of the shape alone.
+  const std::int64_t grain =
+      std::max<std::int64_t>(1, (1 << 16) / std::max<std::int64_t>(1, K * mp * mr * nr));
   simd::dispatch([&](auto tag) {
     using V = decltype(tag);
-    parallel_for(0, N * F, 1, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t nf = lo; nf < hi; ++nf) {
-        const std::int64_t n = nf / F;
-        const std::int64_t f = nf % F;
-        const float bf = b[f];
-        const float* src = src0 + (f * N + n) * spatial;
-        float* dst = y + nf * spatial;
-        float* pre = save_pre != nullptr ? save_pre + nf * spatial : nullptr;
-        simd::lanes<V>(0, spatial, [&](auto w, std::int64_t s) {
-          using W = decltype(w);
-          W v = W::loadu(src + s) + W::broadcast(bf);
-          if (pre != nullptr) v.storeu(pre + s);
-          for (int l = 0; l < chain_len; ++l) v = apply_activation(chain[l], v);
-          v.storeu(dst + s);
-        });
+    parallel_for(0, np, grain, [&](std::int64_t lo, std::int64_t hi) {
+      float* const bp = conv_panel(K * nr + mr * nr);
+      float* const tile = bp + K * nr;
+      RowSegment segs[kPanelCols];
+      for (std::int64_t q = lo; q < hi; ++q) {
+        const std::int64_t j0 = q * nr;
+        const std::int64_t cols = std::min(nr, NS - j0);
+        int nseg = 0;
+        for (std::int64_t jj = 0; jj < cols;) {
+          const std::int64_t n = (j0 + jj) / spatial;
+          const std::int64_t s = (j0 + jj) % spatial;
+          const std::int64_t ow = s % Wo;
+          const std::int64_t len = std::min(Wo - ow, cols - jj);
+          segs[nseg++] = {n * C * H * W, s / Wo * p.stride - p.pad, ow, len,
+                          jj};
+          jj += len;
+        }
+
+        // The K x NR B panel: row k = (c, kh, kw) of the column matrix.
+        std::int64_t k = 0;
+        for (std::int64_t c = 0; c < C; ++c) {
+          for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+            for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++k) {
+              float* const row = bp + k * nr;
+              const std::int64_t off = kw * p.dilation - p.pad;
+              const ValidCols v = taps[kw];
+              for (int g = 0; g < nseg; ++g) {
+                const RowSegment& sg = segs[g];
+                float* const d = row + sg.jj;
+                const std::int64_t end = sg.ow + sg.len;
+                const std::int64_t ih = sg.ih0 + kh * p.dilation;
+                // Segment-relative [a, e): the columns that read X.
+                std::int64_t a = sg.len, e = sg.len;
+                if (ih >= 0 && ih < H) {
+                  a = std::clamp(v.lo, sg.ow, end) - sg.ow;
+                  e = std::clamp(v.hi, sg.ow + a, end) - sg.ow;
+                }
+                std::fill(d, d + a, 0.0f);
+                if (a < e) {
+                  const float* const src = x + sg.x0 + (c * H + ih) * W +
+                                           (sg.ow + a) * p.stride + off;
+                  if (p.stride == 1)
+                    std::memcpy(d + a, src,
+                                static_cast<std::size_t>(e - a) * sizeof(float));
+                  else
+                    for (std::int64_t t = a; t < e; ++t)
+                      d[t] = src[(t - a) * p.stride];
+                }
+                std::fill(d + e, d + sg.len, 0.0f);
+              }
+              for (std::int64_t jj = cols; jj < nr; ++jj) row[jj] = 0.0f;
+            }
+          }
+        }
+
+        for (std::int64_t blk = 0; blk < mp; ++blk) {
+          gemm_micro_tile(K, pa + blk * K * mr, bp, tile);
+          const std::int64_t f0 = blk * mr;
+          for (std::int64_t f = f0; f < std::min(f0 + mr, F); ++f) {
+            const float* const t = tile + (f - f0) * nr;
+            const float bf = b[f];
+            // Store in pieces that are contiguous in Y: one per sample.
+            for (std::int64_t jj = 0; jj < cols;) {
+              const std::int64_t n = (j0 + jj) / spatial;
+              const std::int64_t s = (j0 + jj) % spatial;
+              const std::int64_t len = std::min(spatial - s, cols - jj);
+              const std::int64_t o = (n * F + f) * spatial + s;
+              float* const dst = y + o;
+              float* const pre = save_pre != nullptr ? save_pre + o : nullptr;
+              const float* const src = t + jj;
+              simd::lanes<V>(0, len, [&](auto w, std::int64_t i) {
+                using L = decltype(w);
+                L val = L::loadu(src + i) + L::broadcast(bf);
+                if (pre != nullptr) val.storeu(pre + i);
+                for (int l = 0; l < chain_len; ++l)
+                  val = apply_activation(chain[l], val);
+                val.storeu(dst + i);
+              });
+              jj += len;
+            }
+          }
+        }
       }
     });
   });
@@ -409,7 +528,7 @@ void conv_winograd(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   // Tile rows of distinct samples write disjoint output tiles; flatten
   // (n, th) into one index space for the pool.
   parallel_for(0, N * tiles_h, 1, [&](std::int64_t lo, std::int64_t hi) {
-    float* const V = ThreadScratch<float, struct WinogradV>::get(
+    float* const V = ThreadScratch<float, struct WinogradV, ScratchUse::kHelper>::get(
         static_cast<std::size_t>(C) * 16);
     for (std::int64_t nt = lo; nt < hi; ++nt) {
       const std::int64_t n = nt / tiles_h;
@@ -508,7 +627,13 @@ void Conv2DOp::forward(const ConstTensors& inputs, const MutTensors& outputs) {
   if (!fuse) epilogue_.forward_post(Y.data(), Y.elements());
 }
 
-// Whole-minibatch packed-GEMM backward, with NS = N*spatial, K = C*kh*kw:
+// Whole-minibatch packed-GEMM backward, with NS = N*spatial, K = C*kh*kw.
+// Its workspace covers all N samples at once, so it is proportional to the
+// minibatch size: the batch-scaling workspace behaviour (as in cuDNN's
+// non-fused algorithms) that the paper's micro-batching transformation
+// (§V-C) exploits, since splitting the minibatch shrinks it and removes
+// OOMs. workspace_bytes reports it.
+//
 //   dyf[F, NS]  = dY regrouped filter-major     db[f] = row_sum(dyf row f)
 //   dW^T[K, F]  = col[K, NS] x dyf^T            (M = K: K/MR row panels)
 //   dcol[K, NS] = W^T[K, F] x dyf[F, NS]        then col2im per sample
@@ -606,9 +731,9 @@ std::size_t Conv2DOp::workspace_bytes(const std::vector<Shape>& inputs) const {
     case ConvBackend::kDirect:
       return 0;
     case ConvBackend::kIm2col: {
-      // The shared ConvWorkspace at its peak, which the backward sets: the
-      // whole-minibatch col (K padded to MR rows) and stage buffers scale
-      // with the minibatch size; the [Kp, F] tail does not.
+      // The backward's workspace at its peak: the whole-minibatch col (K
+      // padded to MR rows) and stage buffers scale with the minibatch
+      // size; the [Kp, F] tail does not.
       const std::int64_t F = inputs[1][0];
       const std::int64_t NS = x[0] * Ho * Wo;
       return static_cast<std::size_t>(gemm_packed_a_elems(K, NS) + F * NS +

@@ -4,13 +4,21 @@
 // out in the introduction ("operators can be computed using different
 // methods, e.g., im2col or Winograd"):
 //   kDirect   — 7-loop direct convolution
-//   kIm2col   — im2col lowering + packed GEMM (Chellapilla et al.)
+//   kIm2col   — the im2col formulation (Chellapilla et al.) as an implicit
+//               GEMM: the pool splits the NR-wide column panels of N*Ho*Wo,
+//               each packed B panel is built straight from X in a
+//               per-thread buffer, and each microkernel tile gets its bias
+//               and fused chain in L1 and is stored straight into NCHW Y.
+//               No column matrix, no GEMM output buffer, no scatter pass;
+//               bitwise equal to conv2d_forward_reference
 //   kWinograd — Winograd F(2x2, 3x3) minimal filtering (Lavin & Gray);
 //               requires 3x3 kernel, stride 1, dilation 1
 // Backward, for every backend, is the im2col formulation run as
 // whole-minibatch packed GEMMs (Conv2DOp::backward in conv2d.cpp): one
 // GEMM for dW over all N samples at once, one for the column gradient, then
-// col2im per sample; DESIGN.md §9 gives the determinism argument.
+// col2im per sample. Its workspace scales with the minibatch, which is what
+// micro-batching (graph/microbatch) shrinks. DESIGN.md §9 gives the
+// determinism argument for both directions.
 #pragma once
 
 #include "ops/gemm.hpp"
@@ -69,19 +77,18 @@ class Conv2DOp : public CustomOperator {
   }
 
   /// Bytes of per-thread scratch for the given input shapes; used by the
-  /// micro-batching memory model (Level 1). kIm2col reports the peak of the
-  /// workspace its forward and backward share, which the backward sets.
-  /// kDirect and kWinograd report their forward scratch only (their
-  /// backward runs on that same im2col workspace).
+  /// micro-batching memory model (Level 1). kIm2col reports its backward's
+  /// whole-minibatch workspace, the larger by far: its forward needs only
+  /// a K x NR panel per thread. kDirect and kWinograd report their forward
+  /// scratch only (their backward runs on the im2col workspace).
   std::size_t workspace_bytes(const std::vector<Shape>& inputs) const;
 
   /// Fused activation epilogue chain; see MatMulOp::try_fuse_epilogue.
-  /// Conv's im2col GEMM is filter-major ([F, N*spatial]) with bias per ROW
-  /// (per filter), so the chain cannot ride the per-column GemmEpilogue
-  /// descriptor; instead the im2col backend fuses bias + chain into the
-  /// filter-major -> NCHW scatter it already performs (still one pass over
-  /// Y, zero extra sweeps). Direct/winograd backends always run the
-  /// post-sweep path.
+  /// Conv's bias is per filter, i.e. per ROW of its filter-major GEMM, so
+  /// the chain cannot ride the per-column GemmEpilogue descriptor; instead
+  /// the im2col backend applies bias + chain on each L1-resident
+  /// microkernel tile before storing it into Y (zero extra sweeps).
+  /// Direct/winograd backends always run the post-sweep path.
   bool try_fuse_epilogue(Activation kind) { return epilogue_.try_push(kind); }
   /// Drop the chain (FusedConvBn installs a transient eval-mode ReLU).
   void clear_epilogue() { epilogue_.clear(); }
@@ -105,6 +112,16 @@ void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
 /// are `row_stride` floats apart (0 = Ho*Wo).
 void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,
             const Conv2DParams& p, float* x_grad, std::int64_t row_stride = 0);
+
+/// Reference conv forward: per sample, im2col, then gemm(kPacked) into
+/// Y's [F, Ho*Wo] plane, then the bias add and `chain` (chain_len links)
+/// per element; `pre`, if non-null, receives the value before the chain.
+/// The oracle the implicit-GEMM forward must match bit for bit (tests,
+/// bench_l0_conv).
+void conv2d_forward_reference(const Tensor& X, const Tensor& Wt,
+                              const Tensor& bias, const Conv2DParams& p,
+                              Tensor* Y, const Activation* chain = nullptr,
+                              int chain_len = 0, Tensor* pre = nullptr);
 
 /// Reference conv backward: per sample, im2col + naive serial GEMMs + a
 /// bounds-checked per-element scatter, and plain ascending bias sums. The

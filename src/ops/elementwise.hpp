@@ -132,6 +132,8 @@ class EpilogueChain {
   /// Grow-only pre-chain save buffer sized for n elements. The fused tile
   /// store writes it from registers; forward_post() snapshots into it.
   float* ensure_pre(std::int64_t n);
+  /// The pre-chain values the last forward saved (needs_pre() chains).
+  const float* saved_pre() const { return pre_.data(); }
 
   /// Post-path forward (the pre-fusion differential oracle): snapshot the
   /// pre-chain values when the backward will need them, then one in-place

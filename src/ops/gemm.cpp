@@ -185,11 +185,14 @@ void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
 #define D500_UNROLL
 #endif
 
-// C(rows x cols) += alpha * Ap x Bp for one (m-panel, n-panel) pair.
-// Ap: kMR-interleaved, zero-padded; Bp: kNR-column panel, zero-padded.
-// All accumulation is per output element in ascending k with one fma per
-// step, and writeback is one fma per element in both the full-width and
-// the spill path — so results are identical for every instantiation V.
+// C(rows x cols) = alpha * Ap x Bp (+ C when LoadC) for one (m-panel,
+// n-panel) pair. Ap: kMR-interleaved, zero-padded; Bp: kNR-column panel,
+// zero-padded. All accumulation is per output element in ascending k with
+// one fma per step, and writeback is one fma per element in both the
+// full-width and the spill path — so results are identical for every
+// instantiation V. Without LoadC (beta == 0) the writeback is
+// fma(alpha, acc, 0) from registers: the same bits a memset C reloaded as
+// the fma's addend gives, without the memset and the reload.
 //
 // The optional bias (pre-offset to the tile's column window j0) applies per
 // element at store time, still in registers: x = fma(alpha, acc, c) +
@@ -203,7 +206,7 @@ void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
 // k-loop's register allocation and serialize the chain per kNR-wide slice.
 // The chain instead runs per completed row block in gemm_packed_ex, while
 // the block is still L1-resident (see apply_block_epilogue).
-template <class V, bool HasBias>
+template <class V, bool HasBias, bool LoadC>
 void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
                   float alpha, float* C, std::int64_t ldc, std::int64_t rows,
                   std::int64_t cols, const float* bias) {
@@ -237,16 +240,11 @@ void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
     }
     for (std::int64_t r = 0; r < rows; ++r) {
       float* c = C + r * ldc;
-      if constexpr (!HasBias) {
-        for (int v = 0; v < NV; ++v) {
-          const V cv = V::loadu(c + v * V::width);
-          V::fma(alpha_v, acc[r][v], cv).storeu(c + v * V::width);
-        }
-      } else {
-        for (int v = 0; v < NV; ++v) {
-          const V cv = V::loadu(c + v * V::width);
-          (V::fma(alpha_v, acc[r][v], cv) + bv[v]).storeu(c + v * V::width);
-        }
+      for (int v = 0; v < NV; ++v) {
+        const V cv = LoadC ? V::loadu(c + v * V::width) : V::zero();
+        V x = V::fma(alpha_v, acc[r][v], cv);
+        if constexpr (HasBias) x = x + bv[v];
+        x.storeu(c + v * V::width);
       }
     }
   } else {
@@ -255,12 +253,10 @@ void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
       for (int v = 0; v < NV; ++v)
         acc[r][v].storeu(buf + v * V::width);
       float* c = C + r * ldc;
-      if constexpr (!HasBias) {
-        for (std::int64_t j = 0; j < cols; ++j)
-          c[j] = std::fma(alpha, buf[j], c[j]);
-      } else {
-        for (std::int64_t j = 0; j < cols; ++j)
-          c[j] = (Vec1{std::fma(alpha, buf[j], c[j])} + Vec1{bias[j]}).v;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        Vec1 x{std::fma(alpha, buf[j], LoadC ? c[j] : 0.0f)};
+        if constexpr (HasBias) x = x + Vec1{bias[j]};
+        c[j] = x.v;
       }
     }
   }
@@ -270,12 +266,18 @@ using MicroKernelFn = void (*)(std::int64_t, const float*, const float*, float,
                                float*, std::int64_t, std::int64_t, std::int64_t,
                                const float*);
 
-MicroKernelFn pick_micro_kernel(bool has_bias) {
+template <bool HasBias, bool LoadC>
+MicroKernelFn pick_micro_kernel() {
+  return simd::dispatch_simd() ? &micro_kernel<VecN, HasBias, LoadC>
+                               : &micro_kernel<Vec1, HasBias, LoadC>;
+}
+
+MicroKernelFn pick_micro_kernel(bool has_bias, bool load_c) {
   if (has_bias)
-    return simd::dispatch_simd() ? &micro_kernel<VecN, true>
-                                 : &micro_kernel<Vec1, true>;
-  return simd::dispatch_simd() ? &micro_kernel<VecN, false>
-                               : &micro_kernel<Vec1, false>;
+    return load_c ? pick_micro_kernel<true, true>()
+                  : pick_micro_kernel<true, false>();
+  return load_c ? pick_micro_kernel<false, true>()
+                : pick_micro_kernel<false, false>();
 }
 
 // Runs the activation chain (and the optional pre-chain save-out the
@@ -309,6 +311,12 @@ void apply_block_epilogue(const GemmEpilogue* epi, float* c, float* pre,
 
 std::int64_t gemm_micro_mr() { return kMR; }
 std::int64_t gemm_micro_nr() { return kNR; }
+
+void gemm_micro_tile(std::int64_t K, const float* packed_a,
+                     const float* packed_b, float* tile) {
+  pick_micro_kernel<false, false>()(K, packed_a, packed_b, 1.0f, tile, kNR,
+                                    kMR, kNR, nullptr);
+}
 
 std::int64_t gemm_packed_a_elems(std::int64_t M, std::int64_t K) {
   return (M + kMR - 1) / kMR * kMR * K;
@@ -402,20 +410,17 @@ void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
   const float* const pb = packedB != nullptr ? packedB : pb_buf;
 
   // Compute: kMR-row blocks of C sweep every B panel; each block owns its
-  // C rows end to end (beta scaling included), so blocks are independent
-  // and the decomposition depends only on M.
+  // C rows end to end (beta scaling included; beta == 0 never reads C), so
+  // blocks are independent and the decomposition depends only on M.
   const float* const bias = epi != nullptr ? epi->bias : nullptr;
   const bool block_epi =
       epi != nullptr && (epi->chain_len > 0 || epi->save_pre != nullptr);
-  const MicroKernelFn micro = pick_micro_kernel(bias != nullptr);
+  const MicroKernelFn micro = pick_micro_kernel(bias != nullptr, beta != 0.0f);
   parallel_for(0, mp, 2, [&, pa, pb, micro](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t blk = b0; blk < b1; ++blk) {
       const std::int64_t i0 = blk * kMR;
       const std::int64_t rows = std::min(kMR, M - i0);
-      if (beta == 0.0f) {
-        std::memset(C + i0 * N, 0,
-                    static_cast<std::size_t>(rows) * N * sizeof(float));
-      } else if (beta != 1.0f) {
+      if (beta != 0.0f && beta != 1.0f) {
         for (std::int64_t i = i0 * N; i < (i0 + rows) * N; ++i) C[i] *= beta;
       }
       for (std::int64_t p = 0; p < np; ++p) {

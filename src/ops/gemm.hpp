@@ -143,6 +143,16 @@ void gemm_pack_bt(std::int64_t N, std::int64_t K, const float* Bt,
 std::int64_t gemm_micro_mr();
 std::int64_t gemm_micro_nr();
 
+/// One full register tile for callers that build their own packed panels
+/// (the implicit-GEMM convolution forward): tile[r * NR + j] = the sum over
+/// ascending k of packed_a[k * MR + r] * packed_b[k * NR + j], for the
+/// MR x NR = gemm_micro_mr() x gemm_micro_nr() tile. packed_a is one
+/// MR-row panel in gemm_pack_a layout, packed_b one NR-column panel in
+/// gemm_pack_b layout. Each element is the same fma chain and store that
+/// gemm_packed_ex gives with alpha 1 and beta 0, so the bits match it.
+void gemm_micro_tile(std::int64_t K, const float* packed_a,
+                     const float* packed_b, float* tile);
+
 /// kPacked core with optional pre-packed operands. Computes
 /// C = alpha * A x B + beta * C. `packedA` / `packedB` — when non-null —
 /// must hold gemm_pack_a(M, K, A) / gemm_pack_b(K, N, B) output; null

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/simd.hpp"
@@ -283,6 +285,99 @@ TEST(Conv, BackwardMatchesNaiveReference) {
     expect_close(got.dW, ref.dW, "dW");
     expect_close(got.db, ref.db, "db");
   }
+}
+
+// The implicit-GEMM forward against conv2d_forward_reference (per-sample
+// im2col, gemm(kPacked), bias, chain), bit for bit. Cases: column panels
+// that cross output rows and samples (LeNet's 28x28 and 10x10 outputs),
+// partial filter blocks (F = 1, 5, 7, 13), K < MR, stride 2 clipping the
+// right edge, pad 0 and 2, dilation 2, N = 1.
+struct FwdCase {
+  std::int64_t N, C, H, W, F, k, stride, pad, dilation;
+};
+
+const FwdCase kFwdCases[] = {
+    {2, 1, 32, 32, 6, 5, 1, 0, 1},   // LeNet conv1: 28x28 outputs
+    {3, 6, 14, 14, 16, 5, 1, 0, 1},  // LeNet conv2: 10x10 outputs
+    {2, 3, 7, 9, 1, 3, 1, 1, 1},     // F = 1
+    {2, 4, 6, 5, 5, 1, 1, 0, 1},     // 1x1, K = 4 < MR
+    {1, 3, 9, 9, 7, 3, 2, 0, 1},     // N = 1, stride 2 clips the right edge
+    {2, 2, 8, 11, 13, 3, 2, 2, 1},   // stride 2, pad 2
+    {1, 4, 11, 10, 5, 3, 1, 2, 2},   // dilation 2, pad 2
+    {3, 2, 3, 3, 7, 3, 1, 1, 1},     // 3x3 outputs: one panel, 3 samples
+};
+
+// n floats compared bit for bit; reports the first difference.
+void expect_same_bits(const float* got, const float* ref, std::int64_t n,
+                      const std::string& what) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (std::memcmp(got + i, ref + i, sizeof(float)) != 0) {
+      ADD_FAILURE() << what << ": first difference at " << i << ": "
+                    << got[i] << " vs reference " << ref[i];
+      return;
+    }
+  }
+}
+
+TEST(Conv, ForwardBitwiseMatchesReference) {
+  const simd::KernelDispatch mode = simd::kernel_dispatch();
+  const EpilogueMode epi_mode = gemm_epilogue_mode();
+  set_gemm_epilogue_mode(EpilogueMode::kFused);
+  const std::vector<std::vector<Activation>> chains = {
+      {}, {Activation::kReLU}, {Activation::kTanh, Activation::kSigmoid}};
+  for (const FwdCase& c : kFwdCases) {
+    Conv2DParams p;
+    p.kernel_h = p.kernel_w = c.k;
+    p.stride = c.stride;
+    p.pad = c.pad;
+    p.dilation = c.dilation;
+    Rng rng(static_cast<std::uint64_t>(101 + c.C * 13 + c.F));
+    Tensor X({c.N, c.C, c.H, c.W}), Wt({c.F, c.C, c.k, c.k}), b({c.F});
+    X.fill_uniform(rng, -1, 1);
+    Wt.fill_uniform(rng, -1, 1);
+    b.fill_uniform(rng, -1, 1);
+    const Shape ys{c.N, c.F, p.out_dim(c.H, c.k), p.out_dim(c.W, c.k)};
+    const std::int64_t K = c.C * c.k * c.k;
+    std::vector<float> panels(
+        static_cast<std::size_t>(gemm_packed_a_elems(c.F, K)));
+    gemm_pack_a(c.F, K, Wt.data(), panels.data());
+    for (const auto& chain : chains) {
+      Tensor ref(ys), ref_pre(ys);
+      conv2d_forward_reference(X, Wt, b, p, &ref, chain.data(),
+                               static_cast<int>(chain.size()), &ref_pre);
+      for (const bool prepack : {false, true}) {
+        Conv2DOp op(p, ConvBackend::kIm2col);
+        for (const Activation a : chain) ASSERT_TRUE(op.try_fuse_epilogue(a));
+        if (prepack) op.set_prepacked_w(panels.data(), Wt.data());
+        for (const auto dispatch :
+             {simd::KernelDispatch::kScalar, simd::KernelDispatch::kSimd}) {
+          simd::set_kernel_dispatch(dispatch);
+          for (const int threads : {1, 2, 4}) {
+            ThreadPool::instance().reset(threads);
+            Tensor Y(ys);
+            op.forward({&X, &Wt, &b}, {&Y});
+            const std::string what =
+                "N" + std::to_string(c.N) + "C" + std::to_string(c.C) + "H" +
+                std::to_string(c.H) + "W" + std::to_string(c.W) + "F" +
+                std::to_string(c.F) + "k" + std::to_string(c.k) + "s" +
+                std::to_string(c.stride) + "p" + std::to_string(c.pad) + "d" +
+                std::to_string(c.dilation) + " chain" +
+                std::to_string(chain.size()) +
+                (prepack ? " prepacked " : " unpacked ") +
+                simd::kernel_dispatch_name(dispatch) + " @" +
+                std::to_string(threads) + "t";
+            expect_same_bits(Y.data(), ref.data(), Y.elements(), what + " Y");
+            if (op.epilogue().needs_pre())
+              expect_same_bits(op.epilogue().saved_pre(), ref_pre.data(),
+                               Y.elements(), what + " save_pre");
+          }
+        }
+      }
+    }
+  }
+  simd::set_kernel_dispatch(mode);
+  set_gemm_epilogue_mode(epi_mode);
+  ThreadPool::instance().reset(1);
 }
 
 TEST(Conv, WorkspaceScalesWithBatch) {

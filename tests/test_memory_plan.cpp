@@ -468,6 +468,40 @@ void check_zero_alloc_warm_steps(const Model& m, const char* label) {
           << "t: heap allocations across 5 warm steps";
 }
 
+/// Heap allocations across 5 warm steps of an executor warmed on a
+/// 2-thread pool that then grew to 4 threads (one step runs in between):
+/// the new workers start with empty scratch, and the executor must notice
+/// the new pool generation and prime them again.
+std::int64_t warm_step_allocs_after_reset(const Model& m, bool parallel) {
+  Trace::disable();
+  Arena::instance().set_mode(ArenaMode::kArena);
+  ThreadPool::instance().reset(2);
+  const TensorMap feeds = model_feeds(m, 3);
+  ExecOptions o;
+  o.parallel = parallel;
+  PlanExecutor ex(build_network(m), "zero-alloc-reset", o);
+  for (int i = 0; i < 3; ++i) ex.step(feeds, "loss");
+  ThreadPool::instance().reset(4);
+  ex.step(feeds, "loss");
+
+  const std::int64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 5; ++i) ex.step(feeds, "loss");
+  const std::int64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  ThreadPool::instance().reset(1);
+  return after - before;
+}
+
+TEST(MemoryPlanExecutor, WarmStepsAfterPoolResetDoZeroHeapAllocations) {
+  const Model lenet = models::lenet(2, 1, 12, 12, 4, 12);
+  const Model resnet = models::resnet(2, 3, 8, 8, 4, 4, 1, 13);
+  for (bool parallel : {false, true}) {
+    EXPECT_EQ(warm_step_allocs_after_reset(lenet, parallel), 0)
+        << "lenet" << (parallel ? " parallel" : " serial");
+    EXPECT_EQ(warm_step_allocs_after_reset(resnet, parallel), 0)
+        << "resnet" << (parallel ? " parallel" : " serial");
+  }
+}
+
 TEST(MemoryPlanExecutor, WarmMlpStepsDoZeroHeapAllocations) {
   check_zero_alloc_warm_steps(models::mlp(4, 32, {24, 16}, 4, 11), "mlp");
 }

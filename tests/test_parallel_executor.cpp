@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -124,6 +126,54 @@ TEST(ThreadPool, OnEveryThreadRunsOncePerThread) {
     EXPECT_EQ(std::unique(seen.ids.begin(), seen.ids.end()), seen.ids.end())
         << threads << " threads: a thread ran twice";
   }
+}
+
+// Two threads broadcasting at once (two serial plans priming the pool) must
+// both finish.
+TEST(ThreadPool, ConcurrentBroadcastsComplete) {
+  ThreadPool::instance().reset(4);
+  std::atomic<int> runs{0};
+  const auto body = [](void* ctx, std::int64_t) {
+    static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  const auto broadcaster = [&] {
+    for (int i = 0; i < 20; ++i) ThreadPool::instance().on_every_thread(body, &runs);
+  };
+  std::thread a(broadcaster), b(broadcaster);
+  a.join();
+  b.join();
+  EXPECT_EQ(runs.load(), 2 * 20 * 4);
+  ThreadPool::instance().reset(1);
+}
+
+// Grows a counter per element constructed, so a test can see whether a
+// thread's scratch at a site was grown.
+struct Counted {
+  static inline std::atomic<int> made{0};
+  Counted() { made.fetch_add(1); }
+};
+
+TEST(ThreadScratch, HelperOnlyPrimingSkipsCallerSites) {
+  struct CallerSite;
+  struct HelperSite;
+  using Caller = ThreadScratch<Counted, CallerSite>;
+  using Helper = ThreadScratch<Counted, HelperSite, ScratchUse::kHelper>;
+  Caller::get(100);
+  Helper::get(30);
+  int helper_only = 0, all = 0;
+  std::thread([&] {
+    const int before = Counted::made.load();
+    prime_thread_scratch(/*helper_sites_only=*/true);
+    helper_only = Counted::made.load() - before;
+  }).join();
+  std::thread([&] {
+    const int before = Counted::made.load();
+    prime_thread_scratch();
+    all = Counted::made.load() - before;
+  }).join();
+  EXPECT_EQ(helper_only, 30);
+  EXPECT_EQ(all, 130);
 }
 
 TEST(RunTaskGraph, RespectsDependencies) {
