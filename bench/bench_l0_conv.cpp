@@ -8,8 +8,9 @@
 //  * the highlighted size with median + 95% CI and CI-overlap verdicts,
 //  * E3: the L-inf norm between each framework's output and the Deep500
 //    reference implementation (paper §V-B: ~7e-4),
-//  * the backward pass (dX + dW + db) per size: GFLOP/s as a summary with
-//    CI, and whether it matches the per-sample naive-GEMM reference,
+//  * the im2col forward and backward pass (dX + dW + db) per size: GFLOP/s
+//    as summaries with CI, and whether the backward matches the per-sample
+//    naive-GEMM reference,
 //  * whether the im2col (implicit-GEMM) forward is bitwise equal to
 //    conv2d_forward_reference at every size.
 // Results land in BENCH_conv.json.
@@ -72,19 +73,28 @@ double rel_linf(const Tensor& got, const Tensor& ref) {
 }
 
 struct BackwardResult {
+  SampleSummary fwd_gflops;  // per-call rate of one forward
   SampleSummary gflops;  // per-call rate of one dX + dW + db backward
   double rel_err = 0;    // worst rel_linf over dX, dW, db
   bool fwd_bitwise = false;  // forward Y == conv2d_forward_reference's
 };
 
-/// Times Conv2DOp::backward (im2col backend) on random dY and checks it
-/// against conv2d_backward_reference, and the forward it runs first
-/// against conv2d_forward_reference.
+/// Times Conv2DOp::forward and Conv2DOp::backward (im2col backend), the
+/// latter on random dY; checks the forward against conv2d_forward_reference
+/// and the backward against conv2d_backward_reference.
 BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
                                 int reruns) {
   const Conv2DParams p{s.R, s.R, s.stride, s.pad, 1};
   Conv2DOp op(p);
-  op.forward({&d.x, &d.w, &d.b}, {&d.y});
+  const double fwd_flops = static_cast<double>(
+      op.forward_flops({d.x.shape(), d.w.shape(), d.b.shape()}));
+  op.forward({&d.x, &d.w, &d.b}, {&d.y});  // warm-up: workspaces, page faults
+  std::vector<double> fwd_rates;
+  for (int r = 0; r < reruns; ++r) {
+    Timer t;
+    op.forward({&d.x, &d.w, &d.b}, {&d.y});
+    fwd_rates.push_back(fwd_flops / t.seconds() * 1e-9);
+  }
   Tensor ref_y(d.y.shape());
   conv2d_forward_reference(d.x, d.w, d.b, p, &ref_y);
   const bool fwd_bitwise =
@@ -95,9 +105,7 @@ BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
   const ConstTensors gout{&dy}, fin{&d.x, &d.w, &d.b}, fout{&d.y};
   const MutTensors gin{&dx, &dw, &db};
   // dX and dW each cost one forward's multiply-adds; db one add per dY.
-  const double flops = 2.0 * static_cast<double>(op.forward_flops(
-                                 {d.x.shape(), d.w.shape(), d.b.shape()})) +
-                       static_cast<double>(dy.elements());
+  const double flops = 2.0 * fwd_flops + static_cast<double>(dy.elements());
   op.backward(gout, fin, fout, gin);  // warm-up: workspaces, page faults
   std::vector<double> rates;
   for (int r = 0; r < reruns; ++r) {
@@ -108,6 +116,7 @@ BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
   Tensor rx(d.x.shape()), rw(d.w.shape()), rb(d.b.shape());
   conv2d_backward_reference(d.x, d.w, dy, p, &rx, &rw, &rb);
   BackwardResult res;
+  res.fwd_gflops = summarize(fwd_rates);
   res.gflops = summarize(rates);
   res.rel_err =
       std::max({rel_linf(dx, rx), rel_linf(dw, rw), rel_linf(db, rb)});
@@ -176,14 +185,19 @@ int run() {
   // two sum the same products in different orders).
   constexpr double kBwdTol = 1e-4;
   BenchReport report("l0_conv");
-  Table bwd({"size", "backward GFLOP/s [95% CI]", "rel L-inf vs reference"});
+  Table bwd({"size", "forward GFLOP/s [95% CI]", "backward GFLOP/s [95% CI]",
+             "rel L-inf vs reference"});
   bool bwd_matches = true;
   bool fwd_matches = true;
   for (const ConvSize& s : sizes) {
     ConvData d = make_data(s, rng);
     const BackwardResult r = measure_backward(s, d, rng, sweep_reruns);
-    bwd.add_row({size_label(s), summary_to_string(r.gflops, 1.0, "GFLOP/s"),
+    bwd.add_row({size_label(s),
+                 summary_to_string(r.fwd_gflops, 1.0, "GFLOP/s"),
+                 summary_to_string(r.gflops, 1.0, "GFLOP/s"),
                  Table::num(r.rel_err, 8)});
+    report.add_summary("fwd." + size_label(s) + ".gflops", r.fwd_gflops,
+                       "GFLOP/s", Better::kHigher);
     report.add_summary("bwd." + size_label(s) + ".gflops", r.gflops,
                        "GFLOP/s", Better::kHigher);
     bwd_matches = bwd_matches && r.rel_err <= kBwdTol;
@@ -239,8 +253,9 @@ int run() {
     norms.add_row({name, Table::num(v, 6)});
   std::cout << norms.to_text();
 
-  std::cout << "\n-- Backward dX + dW + db (im2col, whole-minibatch packed "
-               "GEMMs) vs per-sample naive reference, tolerance "
+  std::cout << "\n-- im2col forward (implicit GEMM) and backward dX + dW + "
+               "db (whole-minibatch packed GEMMs); backward vs per-sample "
+               "naive reference, tolerance "
             << kBwdTol << " --\n"
             << bwd.to_text();
   std::cout << "\nim2col forward bitwise equal to conv2d_forward_reference "

@@ -195,13 +195,6 @@ float* conv_stage(std::int64_t elems) {
       static_cast<std::size_t>(elems));
 }
 
-// The forward's per-thread K x NR B panel plus its MR x NR output tile.
-// Every thread that runs a chunk of the forward takes its own.
-float* conv_panel(std::int64_t elems) {
-  return ThreadScratch<float, struct ConvPanel, ScratchUse::kHelper>::get(
-      static_cast<std::size_t>(elems));
-}
-
 // im2col of one sample straight into the packed-A panel layout that
 // gemm_packed_ex consumes for an [K, ncols] A operand: element (r, j) lives
 // at panels[(r / MR) * ncols * MR + j * MR + r % MR]. The sample fills
@@ -300,34 +293,57 @@ void conv_direct(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   });
 }
 
-// Columns of a packed B panel: gemm.cpp's kNR, a build constant.
-constexpr std::int64_t kPanelCols = 2 * simd::kNativeWidth;
-
-// One output row's share of a column panel: panel columns [jj, jj + len)
-// are output pixels (oh, ow .. ow + len) of sample n. A panel is NR
-// consecutive columns of the N*Ho*Wo output grid, so it may hold several
-// rows, and rows of several samples.
-struct RowSegment {
-  std::int64_t x0;   // n * C * H * W: sample n's offset in X
-  std::int64_t ih0;  // oh * stride - pad: input row of kernel row 0
-  std::int64_t ow, len, jj;
-};
+// X zero-padded, per (n, c) one Hq x Wq plane per stride phase pair
+// (py, px) < (ny, nx): padded rows py, py + s, ... by padded columns
+// px, px + s, ... (at stride 1, a plain padded copy). Each row is zeros, a
+// copy or strided gather of X's valid columns, zeros.
+void pad_phases(const float* x, std::int64_t NC, std::int64_t H, std::int64_t W,
+                const Conv2DParams& p, std::int64_t ny, std::int64_t nx,
+                std::int64_t Hq, std::int64_t Wq, float* xp) {
+  const std::int64_t s = p.stride, pad = p.pad, plane = Hq * Wq;
+  parallel_for(0, NC, std::max<std::int64_t>(1, 4096 / (ny * nx * plane)),
+               [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t nc = lo; nc < hi; ++nc) {
+      for (std::int64_t py = 0; py < ny; ++py) {
+        const ValidCols vr = valid_cols(py - pad, s, H, Hq);
+        for (std::int64_t px = 0; px < nx; ++px) {
+          const ValidCols vc = valid_cols(px - pad, s, W, Wq);
+          float* const dst = xp + ((nc * ny + py) * nx + px) * plane;
+          std::fill(dst, dst + vr.lo * Wq, 0.0f);
+          for (std::int64_t i = vr.lo; i < vr.hi; ++i) {
+            float* const d = dst + i * Wq;
+            const float* const r = x + (nc * H + py + i * s - pad) * W;
+            std::fill(d, d + vc.lo, 0.0f);
+            if (s == 1)
+              std::memcpy(d + vc.lo, r + vc.lo - pad,
+                          static_cast<std::size_t>(vc.hi - vc.lo) * sizeof(float));
+            else
+              for (std::int64_t q = vc.lo; q < vc.hi; ++q)
+                d[q] = r[px + q * s - pad];
+            std::fill(d + vc.hi, d + Wq, 0.0f);
+          }
+          std::fill(dst + vr.hi * Wq, dst + plane, 0.0f);
+        }
+      }
+    }
+  });
+}
 
 // Implicit-GEMM forward: Y[n, f, s] = sum_k W[f, k] * col[k, n*Ho*Wo + s]
-// + bias[f], with the column matrix never written. The pool splits the
-// NR-wide column panels of N*Ho*Wo; each builds its K x NR packed B panel
-// straight from X in a per-thread buffer, one output-row segment at a time
-// (a contiguous copy at stride 1, else a strided gather, over the tap's
-// valid_cols range, zeros outside it), then runs one microkernel tile per
-// MR-filter block of the packed A panels. Bias, the fused chain and the
-// save_pre copy apply on the L1-resident tile, which is stored straight
-// into Y's NCHW rows: a panel's columns are contiguous in each sample's
-// (n, f) plane, so only a panel crossing a sample boundary stores in two
-// pieces. Each output element is the same ascending-k fma chain, the same
-// B values and the same per-lane bias and chain maps as the lowering
-// through a column matrix, a GEMM and a scatter (conv2d_forward_reference),
-// so Y is bitwise identical to it at any thread count and dispatch mode.
-// `chain`/`chain_len`/`save_pre` are the op's fused epilogue.
+// + bias[f], with no column matrix and no packed B panel. In the padded
+// input (pad_phases; only the phases below the kernel's extent, so one for
+// a 1x1 kernel), tap k = (c, kh, kw) of output (oh, ow) sits at
+// sample n's block + oh*Wq + ow + rows[k], so the B row of a tile of NR
+// consecutive positions of the Ho x Wq grid is NR contiguous floats, at
+// any stride and dilation. Tiles span output rows when Wo < NR; the lanes
+// of the Wq - Wo pad columns and past Ho*Wq are computed but not stored
+// (NR + Wq zeroed floats of slack cover their reads). The pool splits the
+// (n, tile) pairs; per MR-filter block, gemm_micro_tile_rows fills an
+// L1 tile that gets the bias, the fused chain and the save_pre copy and is
+// stored into Y's NCHW rows. Each output is the same ascending-k fma chain
+// over the same values (a padding zero where the lowering writes one) and
+// the same per-lane maps as conv2d_forward_reference, so Y is bitwise
+// equal to it at any thread count and dispatch mode.
 void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
                  Tensor& Y, const Conv2DParams& p, const float* prepacked_w,
                  const Activation* chain, int chain_len, float* save_pre) {
@@ -336,12 +352,17 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   const std::int64_t Ho = p.out_dim(H, p.kernel_h);
   const std::int64_t Wo = p.out_dim(W, p.kernel_w);
   const std::int64_t K = C * p.kernel_h * p.kernel_w;
-  const std::int64_t spatial = Ho * Wo;
-  const std::int64_t NS = N * spatial;
-  const std::int64_t mr = gemm_micro_mr();
-  const std::int64_t nr = gemm_micro_nr();
+  const std::int64_t s = p.stride;
+  const std::int64_t Hq = (H + 2 * p.pad + s - 1) / s;
+  const std::int64_t Wq = (W + 2 * p.pad + s - 1) / s;
+  const std::int64_t ny = std::min(s, (p.kernel_h - 1) * p.dilation + 1);
+  const std::int64_t nx = std::min(s, (p.kernel_w - 1) * p.dilation + 1);
+  const std::int64_t sample = C * ny * nx * Hq * Wq;
+  const std::int64_t grid = Ho * Wq;
+  constexpr std::int64_t mr = gemm_micro_mr();
+  constexpr std::int64_t nr = gemm_micro_nr();
   const std::int64_t mp = (F + mr - 1) / mr;
-  const std::int64_t np = (NS + nr - 1) / nr;
+  const std::int64_t tiles = (grid + nr - 1) / nr;
 
   const float* pa = prepacked_w;
   if (pa == nullptr) {
@@ -350,90 +371,56 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
     gemm_pack_a(F, K, Wt.data(), buf);
     pa = buf;
   }
-  ValidCols* const taps = ThreadScratch<ValidCols, struct ConvTaps>::get(
-      static_cast<std::size_t>(p.kernel_w));
-  for (std::int64_t kw = 0; kw < p.kernel_w; ++kw)
-    taps[kw] = valid_cols(kw * p.dilation - p.pad, p.stride, W, Wo);
+  std::int64_t* const rows = ThreadScratch<std::int64_t, struct ConvRows>::get(
+      static_cast<std::size_t>(K));
+  std::int64_t k = 0;
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++k) {
+        const std::int64_t dh = kh * p.dilation, dw = kw * p.dilation;
+        rows[k] = ((c * ny + dh % s) * nx + dw % s) * Hq * Wq +
+                  dh / s * Wq + dw / s;
+      }
+    }
+  }
+  const std::int64_t slack = nr + Wq;
+  float* const xp = ThreadScratch<float, struct ConvPadded>::get(
+      static_cast<std::size_t>(N * sample + slack));
+  pad_phases(X.data(), N * C, H, W, p, ny, nx, Hq, Wq, xp);
+  std::fill(xp + N * sample, xp + N * sample + slack, 0.0f);
 
-  const float* const x = X.data();
   const float* const b = bias.data();
   float* const y = Y.data();
-  D500_CHECK(nr == kPanelCols);
   // About 64k multiply-adds per chunk: a function of the shape alone.
   const std::int64_t grain =
       std::max<std::int64_t>(1, (1 << 16) / std::max<std::int64_t>(1, K * mp * mr * nr));
   simd::dispatch([&](auto tag) {
     using V = decltype(tag);
-    parallel_for(0, np, grain, [&](std::int64_t lo, std::int64_t hi) {
-      float* const bp = conv_panel(K * nr + mr * nr);
-      float* const tile = bp + K * nr;
-      RowSegment segs[kPanelCols];
-      for (std::int64_t q = lo; q < hi; ++q) {
-        const std::int64_t j0 = q * nr;
-        const std::int64_t cols = std::min(nr, NS - j0);
-        int nseg = 0;
-        for (std::int64_t jj = 0; jj < cols;) {
-          const std::int64_t n = (j0 + jj) / spatial;
-          const std::int64_t s = (j0 + jj) % spatial;
-          const std::int64_t ow = s % Wo;
-          const std::int64_t len = std::min(Wo - ow, cols - jj);
-          segs[nseg++] = {n * C * H * W, s / Wo * p.stride - p.pad, ow, len,
-                          jj};
-          jj += len;
-        }
-
-        // The K x NR B panel: row k = (c, kh, kw) of the column matrix.
-        std::int64_t k = 0;
-        for (std::int64_t c = 0; c < C; ++c) {
-          for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
-            for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++k) {
-              float* const row = bp + k * nr;
-              const std::int64_t off = kw * p.dilation - p.pad;
-              const ValidCols v = taps[kw];
-              for (int g = 0; g < nseg; ++g) {
-                const RowSegment& sg = segs[g];
-                float* const d = row + sg.jj;
-                const std::int64_t end = sg.ow + sg.len;
-                const std::int64_t ih = sg.ih0 + kh * p.dilation;
-                // Segment-relative [a, e): the columns that read X.
-                std::int64_t a = sg.len, e = sg.len;
-                if (ih >= 0 && ih < H) {
-                  a = std::clamp(v.lo, sg.ow, end) - sg.ow;
-                  e = std::clamp(v.hi, sg.ow + a, end) - sg.ow;
-                }
-                std::fill(d, d + a, 0.0f);
-                if (a < e) {
-                  const float* const src = x + sg.x0 + (c * H + ih) * W +
-                                           (sg.ow + a) * p.stride + off;
-                  if (p.stride == 1)
-                    std::memcpy(d + a, src,
-                                static_cast<std::size_t>(e - a) * sizeof(float));
-                  else
-                    for (std::int64_t t = a; t < e; ++t)
-                      d[t] = src[(t - a) * p.stride];
-                }
-                std::fill(d + e, d + sg.len, 0.0f);
-              }
-              for (std::int64_t jj = cols; jj < nr; ++jj) row[jj] = 0.0f;
-            }
-          }
-        }
-
+    parallel_for(0, N * tiles, grain, [&](std::int64_t lo, std::int64_t hi) {
+      alignas(64) float tile[mr * nr];
+      for (std::int64_t t = lo; t < hi; ++t) {
+        const std::int64_t n = t / tiles;
+        const std::int64_t j0 = t % tiles * nr;
+        const std::int64_t cols = std::min(nr, grid - j0);
         for (std::int64_t blk = 0; blk < mp; ++blk) {
-          gemm_micro_tile(K, pa + blk * K * mr, bp, tile);
+          gemm_micro_tile_rows(K, pa + blk * K * mr, xp + n * sample + j0, rows,
+                               tile);
           const std::int64_t f0 = blk * mr;
           for (std::int64_t f = f0; f < std::min(f0 + mr, F); ++f) {
-            const float* const t = tile + (f - f0) * nr;
+            const float* const tf = tile + (f - f0) * nr;
             const float bf = b[f];
-            // Store in pieces that are contiguous in Y: one per sample.
+            // Store one output-row run at a time, skipping pad columns.
             for (std::int64_t jj = 0; jj < cols;) {
-              const std::int64_t n = (j0 + jj) / spatial;
-              const std::int64_t s = (j0 + jj) % spatial;
-              const std::int64_t len = std::min(spatial - s, cols - jj);
-              const std::int64_t o = (n * F + f) * spatial + s;
+              const std::int64_t oh = (j0 + jj) / Wq, ow = (j0 + jj) % Wq;
+              if (ow >= Wo) {
+                jj += Wq - ow;
+                continue;
+              }
+              const std::int64_t len = std::min(Wo - ow, cols - jj);
+              const std::int64_t o = ((n * F + f) * Ho + oh) * Wo + ow;
               float* const dst = y + o;
               float* const pre = save_pre != nullptr ? save_pre + o : nullptr;
-              const float* const src = t + jj;
+              const float* const src = tf + jj;
               simd::lanes<V>(0, len, [&](auto w, std::int64_t i) {
                 using L = decltype(w);
                 L val = L::loadu(src + i) + L::broadcast(bf);
@@ -590,6 +577,9 @@ std::vector<Shape> Conv2DOp::output_shapes(
   const Shape& b = inputs[2];
   if (x.size() != 4 || w.size() != 4 || b.size() != 1)
     throw ShapeError("Conv2D: rank mismatch");
+  if (params_.kernel_h < 1 || params_.kernel_w < 1 || params_.stride < 1 ||
+      params_.dilation < 1 || params_.pad < 0)
+    throw ShapeError("Conv2D: kernel, stride and dilation must be >= 1, pad >= 0");
   if (x[1] != w[1] || w[2] != params_.kernel_h || w[3] != params_.kernel_w ||
       b[0] != w[0])
     throw ShapeError("Conv2D: incompatible shapes X=" + shape_to_string(x) +

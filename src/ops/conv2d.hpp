@@ -5,11 +5,12 @@
 // methods, e.g., im2col or Winograd"):
 //   kDirect   — 7-loop direct convolution
 //   kIm2col   — the im2col formulation (Chellapilla et al.) as an implicit
-//               GEMM: the pool splits the NR-wide column panels of N*Ho*Wo,
-//               each packed B panel is built straight from X in a
-//               per-thread buffer, and each microkernel tile gets its bias
-//               and fused chain in L1 and is stored straight into NCHW Y.
-//               No column matrix, no GEMM output buffer, no scatter pass;
+//               GEMM: X is copied once into a zero-padded buffer, split
+//               into stride phase planes, so each B row of a microkernel
+//               tile is NR contiguous floats at a per-tap row offset; the
+//               pool splits the tiles, and each tile gets its bias and
+//               fused chain in L1 and is stored straight into NCHW Y. No
+//               column matrix, no packed B panel, no scatter pass;
 //               bitwise equal to conv2d_forward_reference
 //   kWinograd — Winograd F(2x2, 3x3) minimal filtering (Lavin & Gray);
 //               requires 3x3 kernel, stride 1, dilation 1
@@ -78,9 +79,11 @@ class Conv2DOp : public CustomOperator {
 
   /// Bytes of per-thread scratch for the given input shapes; used by the
   /// micro-batching memory model (Level 1). kIm2col reports its backward's
-  /// whole-minibatch workspace, the larger by far: its forward needs only
-  /// a K x NR panel per thread. kDirect and kWinograd report their forward
-  /// scratch only (their backward runs on the im2col workspace).
+  /// whole-minibatch workspace; its forward's padded input (N*C*Hq*Wq
+  /// floats per kept stride phase pair, plus NR + Wq) is a separate
+  /// buffer, smaller for all but layers of a few dozen floats, and is not
+  /// counted. kDirect and kWinograd report their forward scratch only
+  /// (their backward runs on the im2col workspace).
   std::size_t workspace_bytes(const std::vector<Shape>& inputs) const;
 
   /// Fused activation epilogue chain; see MatMulOp::try_fuse_epilogue.

@@ -61,8 +61,8 @@ using simd::VecN;
 // Microkernel geometry: 6 C rows x 2 native vectors of columns. Build
 // constants (not dispatch-dependent) so packed panel layouts are stable —
 // see the header comment.
-constexpr std::int64_t kMR = 6;
-constexpr std::int64_t kNR = 2 * simd::kNativeWidth;
+constexpr std::int64_t kMR = gemm_micro_mr();
+constexpr std::int64_t kNR = gemm_micro_nr();
 
 void gemm_naive(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
                 const float* A, const float* B, float beta, float* C) {
@@ -185,9 +185,23 @@ void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
 #define D500_UNROLL
 #endif
 
-// C(rows x cols) = alpha * Ap x Bp (+ C when LoadC) for one (m-panel,
-// n-panel) pair. Ap: kMR-interleaved, zero-padded; Bp: kNR-column panel,
-// zero-padded. All accumulation is per output element in ascending k with
+// Where the microkernel reads B row k: a packed kNR-column panel, or (the
+// convolution forward) kNR floats at an offset into a padded input.
+struct PanelRows {
+  const float* panel;
+  const float* operator()(std::int64_t k) const { return panel + k * kNR; }
+};
+
+struct OffsetRows {
+  const float* base;
+  const std::int64_t* rows;
+  const float* operator()(std::int64_t k) const { return base + rows[k]; }
+};
+
+// C(rows x cols) = alpha * Ap x B (+ C when LoadC) for one (m-panel,
+// n-panel) pair. Ap: kMR-interleaved, zero-padded; B: kNR-wide rows, each
+// found by `b_rows` (zero-padded columns when it is a packed panel). All
+// accumulation is per output element in ascending k with
 // one fma per step, and writeback is one fma per element in both the
 // full-width and the spill path — so results are identical for every
 // instantiation V. Without LoadC (beta == 0) the writeback is
@@ -206,9 +220,9 @@ void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
 // k-loop's register allocation and serialize the chain per kNR-wide slice.
 // The chain instead runs per completed row block in gemm_packed_ex, while
 // the block is still L1-resident (see apply_block_epilogue).
-template <class V, bool HasBias, bool LoadC>
-void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
-                  float alpha, float* C, std::int64_t ldc, std::int64_t rows,
+template <class V, bool HasBias, bool LoadC, class BRows = PanelRows>
+void micro_kernel(std::int64_t K, const float* Ap, BRows b_rows, float alpha,
+                  float* C, std::int64_t ldc, std::int64_t rows,
                   std::int64_t cols, const float* bias) {
   constexpr int NV = static_cast<int>(kNR / V::width);
   V acc[kMR][NV];
@@ -218,7 +232,7 @@ void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
     for (int v = 0; v < NV; ++v) acc[r][v] = V::zero();
 
   for (std::int64_t k = 0; k < K; ++k) {
-    const float* b = Bp + k * kNR;
+    const float* b = b_rows(k);
     V bv[NV];
     D500_UNROLL
     for (int v = 0; v < NV; ++v) bv[v] = V::loadu(b + v * V::width);
@@ -262,7 +276,7 @@ void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
   }
 }
 
-using MicroKernelFn = void (*)(std::int64_t, const float*, const float*, float,
+using MicroKernelFn = void (*)(std::int64_t, const float*, PanelRows, float,
                                float*, std::int64_t, std::int64_t, std::int64_t,
                                const float*);
 
@@ -309,13 +323,16 @@ void apply_block_epilogue(const GemmEpilogue* epi, float* c, float* pre,
 
 }  // namespace
 
-std::int64_t gemm_micro_mr() { return kMR; }
-std::int64_t gemm_micro_nr() { return kNR; }
-
-void gemm_micro_tile(std::int64_t K, const float* packed_a,
-                     const float* packed_b, float* tile) {
-  pick_micro_kernel<false, false>()(K, packed_a, packed_b, 1.0f, tile, kNR,
-                                    kMR, kNR, nullptr);
+void gemm_micro_tile_rows(std::int64_t K, const float* packed_a,
+                          const float* base, const std::int64_t* rows,
+                          float* tile) {
+  const OffsetRows b{base, rows};
+  if (simd::dispatch_simd())
+    micro_kernel<VecN, false, false>(K, packed_a, b, 1.0f, tile, kNR, kMR, kNR,
+                                     nullptr);
+  else
+    micro_kernel<Vec1, false, false>(K, packed_a, b, 1.0f, tile, kNR, kMR, kNR,
+                                     nullptr);
 }
 
 std::int64_t gemm_packed_a_elems(std::int64_t M, std::int64_t K) {
@@ -425,7 +442,8 @@ void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
       }
       for (std::int64_t p = 0; p < np; ++p) {
         const std::int64_t j0 = p * kNR;
-        micro(K, pa + blk * K * kMR, pb + p * K * kNR, alpha, C + i0 * N + j0,
+        micro(K, pa + blk * K * kMR, PanelRows{pb + p * K * kNR}, alpha,
+              C + i0 * N + j0,
               N, rows, std::min(kNR, N - j0),
               bias != nullptr ? bias + j0 : nullptr);
       }

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 
+#include "core/simd.hpp"
 #include "ops/elementwise.hpp"
 #include "ops/operator.hpp"
 
@@ -140,18 +141,20 @@ void gemm_pack_bt(std::int64_t N, std::int64_t K, const float* Bt,
 /// Microkernel register-tile geometry (rows x columns). Exposed so tests
 /// and benches can target the tile-tail boundary sizes; build constants,
 /// not dispatch-mode properties.
-std::int64_t gemm_micro_mr();
-std::int64_t gemm_micro_nr();
+constexpr std::int64_t gemm_micro_mr() { return 6; }
+constexpr std::int64_t gemm_micro_nr() { return 2 * simd::kNativeWidth; }
 
-/// One full register tile for callers that build their own packed panels
-/// (the implicit-GEMM convolution forward): tile[r * NR + j] = the sum over
-/// ascending k of packed_a[k * MR + r] * packed_b[k * NR + j], for the
+/// One full register tile whose B operand is read in place (the
+/// implicit-GEMM convolution forward): tile[r * NR + j] = the sum over
+/// ascending k of packed_a[k * MR + r] * base[rows[k] + j], for the
 /// MR x NR = gemm_micro_mr() x gemm_micro_nr() tile. packed_a is one
-/// MR-row panel in gemm_pack_a layout, packed_b one NR-column panel in
-/// gemm_pack_b layout. Each element is the same fma chain and store that
-/// gemm_packed_ex gives with alpha 1 and beta 0, so the bits match it.
-void gemm_micro_tile(std::int64_t K, const float* packed_a,
-                     const float* packed_b, float* tile);
+/// MR-row panel in gemm_pack_a layout; B row k is the NR floats at
+/// base + rows[k]. The k-loop is gemm_packed_ex's, so each element is the
+/// same fma chain and store it gives with alpha 1, beta 0 and a packed B
+/// panel holding those rows: the bits match it.
+void gemm_micro_tile_rows(std::int64_t K, const float* packed_a,
+                          const float* base, const std::int64_t* rows,
+                          float* tile);
 
 /// kPacked core with optional pre-packed operands. Computes
 /// C = alpha * A x B + beta * C. `packedA` / `packedB` — when non-null —

@@ -45,7 +45,46 @@ void Pool2DOp::forward(const ConstTensors& inputs, const MutTensors& outputs) {
   const std::int64_t Ho = params_.out_dim(H), Wo = params_.out_dim(W);
   const float* x = X.data();
   float* y = Y.data();
-  // Grow-only per-thread workspace, refilled per output element below.
+  if (kind_ == PoolKind::kMax) {
+    // A running `v = v < w ? w : v` over the window's in-image taps in
+    // (kh, kw) order is what std::max_element over the gathered window
+    // returns (the first of equal maxima: -0 vs +0 keeps the first, a NaN
+    // first tap stays, a later NaN is skipped), with no window buffer and
+    // no branch (the select compiles to a max instruction). A window
+    // wholly in the padding gives 0. The (n, c) planes are independent.
+    const Pool2DParams& p = params_;
+    const std::int64_t k = p.kernel;
+    const std::int64_t grain =
+        std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, Ho * Wo * k * k));
+    parallel_for(0, N * C, grain, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t nc = lo; nc < hi; ++nc) {
+        for (std::int64_t oh = 0; oh < Ho; ++oh) {
+          const std::int64_t ih = oh * p.stride - p.pad;
+          const std::int64_t kh0 = std::max<std::int64_t>(0, -ih);
+          const std::int64_t rows = std::min(k, H - ih) - kh0;
+          for (std::int64_t ow = 0; ow < Wo; ++ow) {
+            const std::int64_t iw = ow * p.stride - p.pad;
+            const std::int64_t kw0 = std::max<std::int64_t>(0, -iw);
+            const std::int64_t cols = std::min(k, W - iw) - kw0;
+            float v = 0.0f;
+            if (rows > 0 && cols > 0) {
+              const float* const win = x + (nc * H + ih + kh0) * W + iw + kw0;
+              v = win[0];
+              for (std::int64_t kh = 0; kh < rows; ++kh)
+                for (std::int64_t kw = 0; kw < cols; ++kw) {
+                  const float w = win[kh * W + kw];
+                  v = v < w ? w : v;
+                }
+            }
+            y[(nc * Ho + oh) * Wo + ow] = v;
+          }
+        }
+      }
+    });
+    return;
+  }
+  // Avg and median: grow-only per-thread workspace, refilled per output
+  // element below.
   float* const window = ThreadScratch<float, struct PoolWindow>::get(
       static_cast<std::size_t>(params_.kernel) * params_.kernel);
   for (std::int64_t nc = 0; nc < N * C; ++nc) {
@@ -65,29 +104,19 @@ void Pool2DOp::forward(const ConstTensors& inputs, const MutTensors& outputs) {
         }
         float* const end = window + n;
         float v = 0.0f;
-        if (n > 0) {
-          switch (kind_) {
-            case PoolKind::kMax:
-              v = *std::max_element(window, end);
-              break;
-            case PoolKind::kAvg: {
-              float acc = 0.0f;
-              for (const float* e = window; e != end; ++e) acc += *e;
-              v = acc / static_cast<float>(n);
-              break;
-            }
-            case PoolKind::kMedian: {
-              float* const mid = window + n / 2;
-              std::nth_element(window, mid, end);
-              if (n % 2 == 1) {
-                v = *mid;
-              } else {
-                const float hi = *mid;
-                const float lo = *std::max_element(window, mid);
-                v = 0.5f * (lo + hi);
-              }
-              break;
-            }
+        if (n > 0 && kind_ == PoolKind::kAvg) {
+          float acc = 0.0f;
+          for (const float* e = window; e != end; ++e) acc += *e;
+          v = acc / static_cast<float>(n);
+        } else if (n > 0) {
+          float* const mid = window + n / 2;
+          std::nth_element(window, mid, end);
+          if (n % 2 == 1) {
+            v = *mid;
+          } else {
+            const float hi = *mid;
+            const float lo = *std::max_element(window, mid);
+            v = 0.5f * (lo + hi);
           }
         }
         yc[oh * Wo + ow] = v;

@@ -3,9 +3,12 @@
 // random access), byte accounting.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "core/env.hpp"
 #include "core/rng.hpp"
@@ -32,7 +35,12 @@ std::vector<Record> make_records(int n, std::size_t bytes, std::uint64_t seed,
 class ContainerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = scratch_dir() + "/container_test";
+    // One directory per test and per process: ctest runs each case as its
+    // own process, possibly several copies at once, and a shared directory
+    // would be torn down under a sibling.
+    dir_ = scratch_dir() + "/container_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(getpid());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -159,8 +167,10 @@ TEST_F(ContainerTest, TarSurvivesSystemTarListing) {
   const auto records = make_records(3, 50, 12);
   const std::string path = dir_ + "/x.tar";
   write_indexed_tar(path, records);
+  if (std::system("tar --version > /dev/null 2>&1") != 0)
+    GTEST_SKIP() << "no system tar";
   const std::string cmd = "tar -tf '" + path + "' > '" + dir_ + "/list' 2>&1";
-  if (std::system(cmd.c_str()) != 0) GTEST_SKIP() << "no system tar";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << "tar -tf failed on " << path;
   std::ifstream list(dir_ + "/list");
   std::string line;
   int members = 0;

@@ -112,6 +112,16 @@ TEST(Conv, ShapeInference) {
   Conv2DOp op2(unpadded);
   EXPECT_THROW(op2.output_shapes({{4, 3, 2, 2}, {8, 3, 3, 3}, {8}}),
                ShapeError);  // 2x2 input, 3x3 valid conv -> empty output
+  // Degenerate geometry is rejected before any kernel divides by it.
+  for (const auto& [stride, dilation, pad] :
+       {std::tuple{0, 1, 0}, std::tuple{1, 0, 0}, std::tuple{1, 1, -1}}) {
+    Conv2DParams bad = unpadded;
+    bad.stride = stride;
+    bad.dilation = dilation;
+    bad.pad = pad;
+    EXPECT_THROW(Conv2DOp(bad).output_shapes({{4, 3, 8, 8}, {8, 3, 3, 3}, {8}}),
+                 ShapeError);
+  }
 }
 
 TEST(Conv, Im2colCol2imAdjoint) {
@@ -288,13 +298,18 @@ TEST(Conv, BackwardMatchesNaiveReference) {
 }
 
 // The implicit-GEMM forward against conv2d_forward_reference (per-sample
-// im2col, gemm(kPacked), bias, chain), bit for bit. Cases: column panels
-// that cross output rows and samples (LeNet's 28x28 and 10x10 outputs),
-// partial filter blocks (F = 1, 5, 7, 13), K < MR, stride 2 clipping the
-// right edge, pad 0 and 2, dilation 2, N = 1.
+// im2col, gemm(kPacked), bias, chain), bit for bit. Cases: tiles that span
+// output rows (Wo = 1, 3, 8, 10 below NR), rows that fill one tile (Wo =
+// NR) or spill one column into the next (NR + 1), LeNet's 28x28 outputs,
+// partial filter blocks (F = 1, 5, 7, 13), K < MR, strides 2 and 3 (phase
+// planes; stride 2 clipping the right edge), a 1x1 kernel at stride 2,
+// dilation 2 at strides 1 and 2, pad 0 to 3 (pad >= kernel / 2, and phase
+// planes with no input column), H != W, N = 1.
 struct FwdCase {
   std::int64_t N, C, H, W, F, k, stride, pad, dilation;
 };
+
+constexpr std::int64_t kNR = gemm_micro_nr();
 
 const FwdCase kFwdCases[] = {
     {2, 1, 32, 32, 6, 5, 1, 0, 1},   // LeNet conv1: 28x28 outputs
@@ -305,6 +320,16 @@ const FwdCase kFwdCases[] = {
     {2, 2, 8, 11, 13, 3, 2, 2, 1},   // stride 2, pad 2
     {1, 4, 11, 10, 5, 3, 1, 2, 2},   // dilation 2, pad 2
     {3, 2, 3, 3, 7, 3, 1, 1, 1},     // 3x3 outputs: one panel, 3 samples
+    {2, 3, 11, 13, 5, 3, 3, 1, 1},   // stride 3, H != W: 4x5 outputs
+    {2, 2, 13, 12, 7, 3, 2, 1, 2},   // stride 2, dilation 2
+    {2, 4, 9, 8, 6, 1, 2, 0, 1},     // 1x1 kernel, stride 2
+    {2, 3, 5, 3, 4, 3, 1, 0, 1},     // Wo = 1
+    {2, 5, 8, 8, 8, 3, 1, 1, 1},     // Wo = 8 (ResNet stage 2), Wq = 10
+    {1, 2, 5, kNR, 3, 3, 1, 1, 1},   // Wo = NR
+    {2, 2, 4, kNR + 1, 7, 3, 1, 1, 1},  // Wo = NR + 1
+    {2, 2, 6, 7, 3, 3, 1, 3, 1},     // pad 3 > 3x3 kernel
+    {1, 2, 3, 1, 2, 3, 2, 3, 1},     // W = 1, pad 3, stride 2
+    {2, 1, 7, 9, 5, 5, 1, 4, 1},     // 5x5 kernel, pad 4
 };
 
 // n floats compared bit for bit; reports the first difference.

@@ -53,6 +53,39 @@ void* operator new(std::size_t n, std::align_val_t a) {
 void* operator new[](std::size_t n, std::align_val_t a) {
   return counted_alloc(n, static_cast<std::size_t>(a));
 }
+// The nothrow forms too (std::stable_sort's temporary buffer comes from
+// one): left to the runtime, a sanitizer's own nothrow new would pair
+// with the free below and be reported as an alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, static_cast<std::size_t>(a));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, static_cast<std::size_t>(a));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -63,6 +96,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -508,6 +552,13 @@ TEST(MemoryPlanExecutor, WarmMlpStepsDoZeroHeapAllocations) {
 
 TEST(MemoryPlanExecutor, WarmLenetStepsDoZeroHeapAllocations) {
   check_zero_alloc_warm_steps(models::lenet(2, 1, 12, 12, 4, 12), "lenet");
+  // At batch 8 and 28x28 the forward's loops split into many parallel_for
+  // chunks (NR = 16, as in AVX2 builds): c1's 448 tiles at grain 27 run in
+  // 17 chunks and its pad copy in 2, c2's 72 tiles at grain 1 in 72 and
+  // its pad copy in 3, the first max pool in 3. At 12x12, c1 and both
+  // pad copies run as one chunk each.
+  check_zero_alloc_warm_steps(models::lenet(8, 1, 28, 28, 10, 12),
+                              "lenet 28x28");
 }
 
 TEST(MemoryPlanExecutor, WarmResnetStepsDoZeroHeapAllocations) {

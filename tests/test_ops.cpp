@@ -3,9 +3,15 @@
 // softmax, dropout, batchnorm, shape ops, losses, and the registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/rng.hpp"
+#include "core/threadpool.hpp"
 #include "ops/batchnorm.hpp"
 #include "ops/dropout.hpp"
 #include "ops/elementwise.hpp"
@@ -24,6 +30,74 @@ TEST(Pool, MaxPoolBasic) {
   Tensor Y({1, 1, 1, 1});
   op.forward({&X}, {&Y});
   EXPECT_FLOAT_EQ(Y.at(0), 4.0f);
+}
+
+// The max-pool forward before its fast path, kept as the oracle: gather
+// each window's in-image taps in (kh, kw) order, take std::max_element.
+void max_pool_gather(const Tensor& X, const Pool2DParams& p, Tensor& Y) {
+  const std::int64_t NC = X.dim(0) * X.dim(1), H = X.dim(2), W = X.dim(3);
+  const std::int64_t Ho = p.out_dim(H), Wo = p.out_dim(W);
+  std::vector<float> window;
+  for (std::int64_t nc = 0; nc < NC; ++nc)
+    for (std::int64_t oh = 0; oh < Ho; ++oh)
+      for (std::int64_t ow = 0; ow < Wo; ++ow) {
+        window.clear();
+        for (std::int64_t kh = 0; kh < p.kernel; ++kh) {
+          const std::int64_t ih = oh * p.stride - p.pad + kh;
+          if (ih < 0 || ih >= H) continue;
+          for (std::int64_t kw = 0; kw < p.kernel; ++kw) {
+            const std::int64_t iw = ow * p.stride - p.pad + kw;
+            if (iw >= 0 && iw < W)
+              window.push_back(X.data()[(nc * H + ih) * W + iw]);
+          }
+        }
+        Y.data()[(nc * Ho + oh) * Wo + ow] =
+            window.empty() ? 0.0f
+                           : *std::max_element(window.begin(), window.end());
+      }
+}
+
+// Bit for bit against the gather oracle, on inputs seeded with NaNs, -0
+// and +0 (which max_element resolves by first occurrence), with windows
+// clipped by the padding (pad 2 with a 2x2 kernel leaves some wholly in
+// it), strides 1 and 2, at 1, 2 and 4 threads.
+TEST(Pool, MaxPoolMatchesGatherOracle) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Pool2DParams cases[] = {
+      {2, 2, 0}, {3, 1, 1}, {3, 2, 1}, {2, 1, 2}, {2, 2, 2}, {5, 2, 2}};
+  Rng rng(77);
+  Tensor X({3, 5, 11, 13});
+  X.fill_uniform(rng, -1, 1);
+  float* const x = X.data();
+  for (std::int64_t i = 0; i < X.elements(); ++i) {
+    const std::uint64_t r = rng.below(16);
+    if (r == 0) x[i] = nan;
+    if (r == 1) x[i] = -0.0f;
+    if (r == 2 || r == 3) x[i] = 0.0f;
+  }
+  for (const Pool2DParams& p : cases) {
+    const Shape ys{3, 5, p.out_dim(11), p.out_dim(13)};
+    Tensor ref(ys);
+    max_pool_gather(X, p, ref);
+    Pool2DOp op(PoolKind::kMax, p);
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::instance().reset(threads);
+      Tensor Y(ys);
+      op.forward({&X}, {&Y});
+      const std::string what = "k" + std::to_string(p.kernel) + "s" +
+                               std::to_string(p.stride) + "p" +
+                               std::to_string(p.pad) + " @" +
+                               std::to_string(threads) + "t";
+      for (std::int64_t i = 0; i < Y.elements(); ++i) {
+        if (std::memcmp(Y.data() + i, ref.data() + i, sizeof(float)) != 0) {
+          ADD_FAILURE() << what << ": first difference at " << i << ": "
+                        << Y.data()[i] << " vs oracle " << ref.data()[i];
+          break;
+        }
+      }
+    }
+  }
+  ThreadPool::instance().reset(1);
 }
 
 TEST(Pool, AvgPoolBasic) {
