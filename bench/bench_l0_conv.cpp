@@ -9,7 +9,8 @@
 //  * E3: the L-inf norm between each framework's output and the Deep500
 //    reference implementation (paper §V-B: ~7e-4),
 //  * the im2col forward and backward pass (dX + dW + db) per size: GFLOP/s
-//    as summaries with CI, and whether the backward matches the per-sample
+//    as summaries with CI, for the whole backward and for its dX-only and
+//    dW + db-only calls, and whether the backward matches the per-sample
 //    naive-GEMM reference,
 //  * whether the im2col (implicit-GEMM) forward is bitwise equal to
 //    conv2d_forward_reference at every size.
@@ -75,6 +76,8 @@ double rel_linf(const Tensor& got, const Tensor& ref) {
 struct BackwardResult {
   SampleSummary fwd_gflops;  // per-call rate of one forward
   SampleSummary gflops;  // per-call rate of one dX + dW + db backward
+  SampleSummary dx_gflops;  // ... of a backward asked for dX only
+  SampleSummary dw_gflops;  // ... of a backward asked for dW and db only
   double rel_err = 0;    // worst rel_linf over dX, dW, db
   bool fwd_bitwise = false;  // forward Y == conv2d_forward_reference's
 };
@@ -103,21 +106,25 @@ BackwardResult measure_backward(const ConvSize& s, ConvData& d, Rng& rng,
   dy.fill_uniform(rng, -1, 1);
   Tensor dx(d.x.shape()), dw(d.w.shape()), db(d.b.shape());
   const ConstTensors gout{&dy}, fin{&d.x, &d.w, &d.b}, fout{&d.y};
-  const MutTensors gin{&dx, &dw, &db};
   // dX and dW each cost one forward's multiply-adds; db one add per dY.
-  const double flops = 2.0 * fwd_flops + static_cast<double>(dy.elements());
-  op.backward(gout, fin, fout, gin);  // warm-up: workspaces, page faults
-  std::vector<double> rates;
-  for (int r = 0; r < reruns; ++r) {
-    Timer t;
-    op.backward(gout, fin, fout, gin);
-    rates.push_back(flops / t.seconds() * 1e-9);
-  }
+  const double db_flops = static_cast<double>(dy.elements());
+  auto rates = [&](const MutTensors& gin, double flops) {
+    op.backward(gout, fin, fout, gin);  // warm-up: workspaces, page faults
+    std::vector<double> r;
+    for (int i = 0; i < reruns; ++i) {
+      Timer t;
+      op.backward(gout, fin, fout, gin);
+      r.push_back(flops / t.seconds() * 1e-9);
+    }
+    return summarize(r);
+  };
+  BackwardResult res;
+  res.dx_gflops = rates({&dx, nullptr, nullptr}, fwd_flops);
+  res.dw_gflops = rates({nullptr, &dw, &db}, fwd_flops + db_flops);
+  res.gflops = rates({&dx, &dw, &db}, 2.0 * fwd_flops + db_flops);
   Tensor rx(d.x.shape()), rw(d.w.shape()), rb(d.b.shape());
   conv2d_backward_reference(d.x, d.w, dy, p, &rx, &rw, &rb);
-  BackwardResult res;
   res.fwd_gflops = summarize(fwd_rates);
-  res.gflops = summarize(rates);
   res.rel_err =
       std::max({rel_linf(dx, rx), rel_linf(dw, rw), rel_linf(db, rb)});
   res.fwd_bitwise = fwd_bitwise;
@@ -186,7 +193,7 @@ int run() {
   constexpr double kBwdTol = 1e-4;
   BenchReport report("l0_conv");
   Table bwd({"size", "forward GFLOP/s [95% CI]", "backward GFLOP/s [95% CI]",
-             "rel L-inf vs reference"});
+             "dX only", "dW + db only", "rel L-inf vs reference"});
   bool bwd_matches = true;
   bool fwd_matches = true;
   for (const ConvSize& s : sizes) {
@@ -195,10 +202,15 @@ int run() {
     bwd.add_row({size_label(s),
                  summary_to_string(r.fwd_gflops, 1.0, "GFLOP/s"),
                  summary_to_string(r.gflops, 1.0, "GFLOP/s"),
-                 Table::num(r.rel_err, 8)});
+                 Table::num(r.dx_gflops.median, 2),
+                 Table::num(r.dw_gflops.median, 2), Table::num(r.rel_err, 8)});
     report.add_summary("fwd." + size_label(s) + ".gflops", r.fwd_gflops,
                        "GFLOP/s", Better::kHigher);
     report.add_summary("bwd." + size_label(s) + ".gflops", r.gflops,
+                       "GFLOP/s", Better::kHigher);
+    report.add_summary("bwd_dx." + size_label(s) + ".gflops", r.dx_gflops,
+                       "GFLOP/s", Better::kHigher);
+    report.add_summary("bwd_dw." + size_label(s) + ".gflops", r.dw_gflops,
                        "GFLOP/s", Better::kHigher);
     bwd_matches = bwd_matches && r.rel_err <= kBwdTol;
     fwd_matches = fwd_matches && r.fwd_bitwise;
@@ -254,7 +266,7 @@ int run() {
   std::cout << norms.to_text();
 
   std::cout << "\n-- im2col forward (implicit GEMM) and backward dX + dW + "
-               "db (whole-minibatch packed GEMMs); backward vs per-sample "
+               "db (implicit GEMMs); backward vs per-sample "
                "naive reference, tolerance "
             << kBwdTol << " --\n"
             << bwd.to_text();

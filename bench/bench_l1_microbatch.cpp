@@ -140,21 +140,32 @@ int run() {
       after.add_row({"ptsim", "OUT OF MEMORY", "transform insufficient"});
     }
   }
+  bool tf_oomed_after = false;
   {
     auto tf = tfsim().compile(split_model);
     tf->set_memory_limit(budget);
-    tf_after = time_executor(*tf, feeds, reruns);
-    const double slowdown = tf_after.median / tf_before.median;
-    after.add_row({"tfsim", ms(tf_after),
-                   "slowdown x" + Table::num(slowdown, 2) +
-                       " from split/concat copies (paper: 350->380ms)"});
+    try {
+      tf_after = time_executor(*tf, feeds, reruns);
+      const double slowdown = tf_after.median / tf_before.median;
+      after.add_row({"tfsim", ms(tf_after),
+                     "slowdown x" + Table::num(slowdown, 2) +
+                         " from split/concat copies (paper: 350->380ms)"});
+    } catch (const OutOfMemoryError&) {
+      // The defensive Split/Concat copies alone can outgrow a budget
+      // that the untransformed direct-conv graph fits.
+      tf_oomed_after = true;
+      after.add_row({"tfsim", "OUT OF MEMORY",
+                     "split/concat copies exceed the budget"});
+    }
   }
   std::cout << "\n" << after.to_text();
 
   std::cout << "\nshape check: ptsim OOM before=" << (pt_oomed ? "yes" : "NO")
             << ", runs after=" << (pt_runs_now ? "yes" : "NO")
             << ", tfsim gains nothing / pays copy overhead="
-            << (tf_after.median > tf_before.median * 0.97 ? "yes" : "NO")
+            << (tf_oomed_after ? "yes (OOM after)"
+                : tf_after.median > tf_before.median * 0.97 ? "yes"
+                                                            : "NO")
             << "\n(the paper's 8% TFSim slowdown assumes GPU-speed convs; "
                "on CPU the copy cost is real but small relative to the "
                "direct convolution — see EXPERIMENTS.md)\n";

@@ -63,44 +63,6 @@ void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
   }
 }
 
-void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,
-            const Conv2DParams& p, float* x_grad, std::int64_t row_stride) {
-  const std::int64_t Ho = p.out_dim(H, p.kernel_h);
-  const std::int64_t Wo = p.out_dim(W, p.kernel_w);
-  if (row_stride == 0) row_stride = Ho * Wo;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < C; ++c) {
-    for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++row) {
-        const float* src = col + row * row_stride;
-        const std::int64_t off = kw * p.dilation - p.pad;
-        const ValidCols v = valid_cols(off, p.stride, W, Wo);
-        for (std::int64_t oh = 0; oh < Ho; ++oh) {
-          const std::int64_t ih = oh * p.stride - p.pad + kh * p.dilation;
-          if (ih < 0 || ih >= H) continue;
-          float* dst = x_grad + (c * H + ih) * W;
-          const float* s = src + oh * Wo;
-          if (p.stride == 1) {
-            // One add per element, so the vector width cannot change bits.
-            float* d = dst + v.lo + off;
-            const float* sl = s + v.lo;
-            simd::dispatch([&](auto tag) {
-              using V = decltype(tag);
-              simd::lanes<V>(0, v.hi - v.lo, [&](auto w, std::int64_t i) {
-                using L = decltype(w);
-                (L::loadu(d + i) + L::loadu(sl + i)).storeu(d + i);
-              });
-            });
-          } else {
-            for (std::int64_t ow = v.lo; ow < v.hi; ++ow)
-              dst[ow * p.stride + off] += s[ow];
-          }
-        }
-      }
-    }
-  }
-}
-
 void conv2d_backward_reference(const Tensor& X, const Tensor& Wt,
                                const Tensor& dY, const Conv2DParams& p,
                                Tensor* dX, Tensor* dW, Tensor* db) {
@@ -125,8 +87,8 @@ void conv2d_backward_reference(const Tensor& X, const Tensor& Wt,
       std::fill(dcol.begin(), dcol.end(), 0.0f);
       gemm_at_b(GemmBackend::kNaive, K, spatial, F, Wt.data(), dy,
                 dcol.data());
-      // Bounds-checked scatter per element, independent of col2im's
-      // valid-range loops so the oracle does not share their faults.
+      // Bounds-checked scatter per element, independent of the backward's
+      // phase and padding arithmetic so the oracle does not share its faults.
       float* dx = dX->data() + n * C * H * W;
       for (std::int64_t r = 0; r < K; ++r) {
         const std::int64_t c = r / (p.kernel_h * p.kernel_w);
@@ -177,81 +139,26 @@ void conv2d_forward_reference(const Tensor& X, const Tensor& Wt,
 
 namespace {
 
-// The backward's per-thread workspace. Grow-only (ThreadScratch) and fully
-// rewritten by each use, so warm steps do not allocate.
-//   col   — the im2col columns lowered into packed-A panels [Kp, N*spatial],
-//           then dcol [K, N*spatial]
-//   stage — filter-major dY [F, N*spatial], then a [Kp, F] tail for dW^T
-//           and the packed W^T panels (Kp = K padded to gemm_micro_mr())
-// Pool workers must write the CALLER's buffers, so callers hand workers
-// plain pointers.
-float* conv_col(std::int64_t elems) {
-  return ThreadScratch<float, struct ConvCol>::get(
-      static_cast<std::size_t>(elems));
-}
-
-float* conv_stage(std::int64_t elems) {
-  return ThreadScratch<float, struct ConvStage>::get(
-      static_cast<std::size_t>(elems));
-}
-
-// im2col of one sample straight into the packed-A panel layout that
-// gemm_packed_ex consumes for an [K, ncols] A operand: element (r, j) lives
-// at panels[(r / MR) * ncols * MR + j * MR + r % MR]. The sample fills
-// columns [col0, col0 + Ho*Wo); rows K..Kp-1 (the last panel's padding) are
-// zeroed, so the panels need no second packing pass.
-void im2col_panels(const float* x, std::int64_t C, std::int64_t H,
-                   std::int64_t W, const Conv2DParams& p, float* panels,
-                   std::int64_t ncols, std::int64_t col0) {
-  const std::int64_t Ho = p.out_dim(H, p.kernel_h);
-  const std::int64_t Wo = p.out_dim(W, p.kernel_w);
-  const std::int64_t mr = gemm_micro_mr();
-  auto lane = [&](std::int64_t r) {
-    return panels + (r / mr) * ncols * mr + col0 * mr + r % mr;
-  };
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < C; ++c) {
-    for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++row) {
-        float* dst = lane(row);
-        const std::int64_t off = kw * p.dilation - p.pad;
-        const ValidCols v = valid_cols(off, p.stride, W, Wo);
-        for (std::int64_t oh = 0; oh < Ho; ++oh) {
-          const std::int64_t ih = oh * p.stride - p.pad + kh * p.dilation;
-          float* d = dst + oh * Wo * mr;
-          const bool inside = ih >= 0 && ih < H;
-          const std::int64_t lo = inside ? v.lo : Wo;
-          const std::int64_t hi = inside ? v.hi : Wo;
-          std::int64_t ow = 0;
-          for (; ow < lo; ++ow) d[ow * mr] = 0.0f;
-          if (inside) {
-            const float* src = x + (c * H + ih) * W;
-            for (; ow < hi; ++ow) d[ow * mr] = src[ow * p.stride + off];
-          }
-          for (; ow < Wo; ++ow) d[ow * mr] = 0.0f;
-        }
-      }
-    }
-  }
-  for (; row % mr != 0; ++row) {
-    float* dst = lane(row);
-    for (std::int64_t j = 0; j < Ho * Wo; ++j) dst[j * mr] = 0.0f;
-  }
-}
-
-// Sum of x[0..n) as eight interleaved partial sums combined in a fixed
-// tree, then the tail in ascending order: the order depends on n alone
-// (not on the thread count or the SIMD dispatch mode), and the eight
-// independent chains keep the adder pipeline busy.
-float row_sum(const float* x, std::int64_t n) {
+// Sum of the nseg runs x[q * stride + i], i < len, read as one sequence:
+// eight interleaved partial sums (element g into partial g % 8) combined
+// in a fixed tree, then the tail in ascending order. The order depends on
+// nseg * len alone (not on the thread count or the SIMD dispatch mode),
+// and the eight independent chains keep the adder pipeline busy.
+float row_sum(const float* x, std::int64_t nseg, std::int64_t len,
+              std::int64_t stride) {
+  const std::int64_t n = nseg * len, body = n / 8 * 8;
+  auto at = [&](std::int64_t g) { return x[g / len * stride + g % len]; };
   float part[8] = {};
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    for (int l = 0; l < 8; ++l) part[l] += x[i + l];
-  float s = ((part[0] + part[1]) + (part[2] + part[3])) +
-            ((part[4] + part[5]) + (part[6] + part[7]));
-  for (; i < n; ++i) s += x[i];
-  return s;
+  std::int64_t g = 0;
+  if (len % 8 == 0)  // runs of whole octets: no index arithmetic per element
+    for (std::int64_t q = 0; q < nseg; ++q, g += len)
+      for (std::int64_t i = 0; i < len; i += 8)
+        for (int l = 0; l < 8; ++l) part[l] += x[q * stride + i + l];
+  for (; g < body; ++g) part[g % 8] += at(g);
+  float sum = ((part[0] + part[1]) + (part[2] + part[3])) +
+              ((part[4] + part[5]) + (part[6] + part[7]));
+  for (g = body; g < n; ++g) sum += at(g);
+  return sum;
 }
 
 void conv_direct(const Tensor& X, const Tensor& Wt, const Tensor& bias,
@@ -293,15 +200,56 @@ void conv_direct(const Tensor& X, const Tensor& Wt, const Tensor& bias,
   });
 }
 
-// X zero-padded, per (n, c) one Hq x Wq plane per stride phase pair
-// (py, px) < (ny, nx): padded rows py, py + s, ... by padded columns
-// px, px + s, ... (at stride 1, a plain padded copy). Each row is zeros, a
-// copy or strided gather of X's valid columns, zeros.
-void pad_phases(const float* x, std::int64_t NC, std::int64_t H, std::int64_t W,
-                const Conv2DParams& p, std::int64_t ny, std::int64_t nx,
-                std::int64_t Hq, std::int64_t Wq, float* xp) {
-  const std::int64_t s = p.stride, pad = p.pad, plane = Hq * Wq;
-  parallel_for(0, NC, std::max<std::int64_t>(1, 4096 / (ny * nx * plane)),
+// X zero-padded and split into stride phase planes: per (n, c) one
+// Hq x Wq plane per phase pair (py, px) < (ny, nx), holding padded rows
+// py, py + s, ... by padded columns px, px + s, ... (at stride 1, a plain
+// padded copy). Only the phases below the kernel's extent are kept, so a
+// 1x1 kernel has one. pad_phases fills xp and rows.
+struct PaddedInput {
+  std::int64_t Hq, Wq, ny, nx, sample;  // sample: floats per sample
+  const float* xp = nullptr;
+  std::int64_t* rows = nullptr;
+
+  PaddedInput(const Conv2DParams& p, std::int64_t C, std::int64_t H,
+              std::int64_t W)
+      : Hq((H + 2 * p.pad + p.stride - 1) / p.stride),
+        Wq((W + 2 * p.pad + p.stride - 1) / p.stride),
+        ny(std::min(p.stride, (p.kernel_h - 1) * p.dilation + 1)),
+        nx(std::min(p.stride, (p.kernel_w - 1) * p.dilation + 1)),
+        sample(C * ny * nx * Hq * Wq) {}
+};
+
+// Fills g.rows[k] for each of the nrows >= K taps k = (c, kh, kw) (past K,
+// the last tap again): where the tap of output (oh, ow) sits in a sample's
+// planes, less oh*Wq + ow. Then pads X into the planes (a per-thread
+// scratch, g.xp: each row is zeros, a copy or strided gather of X's valid
+// columns, zeros) followed by NR + Wq zeroed floats of slack for the reads
+// of lanes that are computed but not kept. Site names the scratch buffer.
+struct ConvPadded;  // X, for the forward and dW; dY (dX) has its own
+template <class Site>
+void pad_phases(const Tensor& X, const Conv2DParams& p, std::int64_t nrows,
+                PaddedInput& g) {
+  const std::int64_t N = X.dim(0), C = X.dim(1), H = X.dim(2), W = X.dim(3);
+  const std::int64_t s = p.stride, pad = p.pad, Hq = g.Hq, Wq = g.Wq;
+  const std::int64_t ny = g.ny, nx = g.nx, plane = Hq * Wq;
+  std::int64_t* const rows = ThreadScratch<std::int64_t, struct ConvRows>::get(
+      static_cast<std::size_t>(nrows));
+  std::int64_t k = 0;
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++k) {
+        const std::int64_t dh = kh * p.dilation, dw = kw * p.dilation;
+        rows[k] = ((c * ny + dh % s) * nx + dw % s) * plane + dh / s * Wq +
+                  dw / s;
+      }
+    }
+  }
+  std::fill(rows + k, rows + nrows, rows[k - 1]);
+  const std::int64_t slack = gemm_micro_nr() + Wq;
+  float* const xp = ThreadScratch<float, Site>::get(
+      static_cast<std::size_t>(N * g.sample + slack));
+  const float* const x = X.data();
+  parallel_for(0, N * C, std::max<std::int64_t>(1, 4096 / (ny * nx * plane)),
                [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t nc = lo; nc < hi; ++nc) {
       for (std::int64_t py = 0; py < ny; ++py) {
@@ -327,38 +275,41 @@ void pad_phases(const float* x, std::int64_t NC, std::int64_t H, std::int64_t W,
       }
     }
   });
+  std::fill(xp + N * g.sample, xp + N * g.sample + slack, 0.0f);
+  g.xp = xp;
+  g.rows = rows;
+}
+
+// The zero padding dY needs on every side so that every tap of the input
+// gradient reads inside it (conv_input_grad).
+std::int64_t dy_lead(const Conv2DParams& p) {
+  const std::int64_t ext = (std::max(p.kernel_h, p.kernel_w) - 1) * p.dilation;
+  return std::max<std::int64_t>(0, (ext - p.pad + p.stride - 1) / p.stride);
 }
 
 // Implicit-GEMM forward: Y[n, f, s] = sum_k W[f, k] * col[k, n*Ho*Wo + s]
 // + bias[f], with no column matrix and no packed B panel. In the padded
-// input (pad_phases; only the phases below the kernel's extent, so one for
-// a 1x1 kernel), tap k = (c, kh, kw) of output (oh, ow) sits at
+// input (pad_phases), tap k = (c, kh, kw) of output (oh, ow) sits at
 // sample n's block + oh*Wq + ow + rows[k], so the B row of a tile of NR
 // consecutive positions of the Ho x Wq grid is NR contiguous floats, at
 // any stride and dilation. Tiles span output rows when Wo < NR; the lanes
-// of the Wq - Wo pad columns and past Ho*Wq are computed but not stored
-// (NR + Wq zeroed floats of slack cover their reads). The pool splits the
-// (n, tile) pairs; per MR-filter block, gemm_micro_tile_rows fills an
-// L1 tile that gets the bias, the fused chain and the save_pre copy and is
-// stored into Y's NCHW rows. Each output is the same ascending-k fma chain
-// over the same values (a padding zero where the lowering writes one) and
-// the same per-lane maps as conv2d_forward_reference, so Y is bitwise
-// equal to it at any thread count and dispatch mode.
+// of the Wq - Wo pad columns and past Ho*Wq are computed but not stored.
+// The pool splits the (n, tile) pairs; per MR-filter block,
+// gemm_micro_tile_rows fills an L1 tile that gets the bias, the fused
+// chain and the save_pre copy and is stored into Y's NCHW rows. Each
+// output is the same ascending-k fma chain over the same values (a padding
+// zero where the lowering writes one) and the same per-lane maps as
+// conv2d_forward_reference, so Y is bitwise equal to it at any thread
+// count and dispatch mode.
 void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
                  Tensor& Y, const Conv2DParams& p, const float* prepacked_w,
                  const Activation* chain, int chain_len, float* save_pre) {
-  const std::int64_t N = X.dim(0), C = X.dim(1), H = X.dim(2), W = X.dim(3);
-  const std::int64_t F = Wt.dim(0);
-  const std::int64_t Ho = p.out_dim(H, p.kernel_h);
-  const std::int64_t Wo = p.out_dim(W, p.kernel_w);
+  const std::int64_t N = X.dim(0), C = X.dim(1), F = Wt.dim(0);
+  const std::int64_t Ho = Y.dim(2), Wo = Y.dim(3);
   const std::int64_t K = C * p.kernel_h * p.kernel_w;
-  const std::int64_t s = p.stride;
-  const std::int64_t Hq = (H + 2 * p.pad + s - 1) / s;
-  const std::int64_t Wq = (W + 2 * p.pad + s - 1) / s;
-  const std::int64_t ny = std::min(s, (p.kernel_h - 1) * p.dilation + 1);
-  const std::int64_t nx = std::min(s, (p.kernel_w - 1) * p.dilation + 1);
-  const std::int64_t sample = C * ny * nx * Hq * Wq;
-  const std::int64_t grid = Ho * Wq;
+  PaddedInput g(p, C, X.dim(2), X.dim(3));
+  pad_phases<ConvPadded>(X, p, K, g);
+  const std::int64_t Wq = g.Wq, sample = g.sample, grid = Ho * Wq;
   constexpr std::int64_t mr = gemm_micro_mr();
   constexpr std::int64_t nr = gemm_micro_nr();
   const std::int64_t mp = (F + mr - 1) / mr;
@@ -371,24 +322,6 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
     gemm_pack_a(F, K, Wt.data(), buf);
     pa = buf;
   }
-  std::int64_t* const rows = ThreadScratch<std::int64_t, struct ConvRows>::get(
-      static_cast<std::size_t>(K));
-  std::int64_t k = 0;
-  for (std::int64_t c = 0; c < C; ++c) {
-    for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < p.kernel_w; ++kw, ++k) {
-        const std::int64_t dh = kh * p.dilation, dw = kw * p.dilation;
-        rows[k] = ((c * ny + dh % s) * nx + dw % s) * Hq * Wq +
-                  dh / s * Wq + dw / s;
-      }
-    }
-  }
-  const std::int64_t slack = nr + Wq;
-  float* const xp = ThreadScratch<float, struct ConvPadded>::get(
-      static_cast<std::size_t>(N * sample + slack));
-  pad_phases(X.data(), N * C, H, W, p, ny, nx, Hq, Wq, xp);
-  std::fill(xp + N * sample, xp + N * sample + slack, 0.0f);
-
   const float* const b = bias.data();
   float* const y = Y.data();
   // About 64k multiply-adds per chunk: a function of the shape alone.
@@ -403,8 +336,8 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
         const std::int64_t j0 = t % tiles * nr;
         const std::int64_t cols = std::min(nr, grid - j0);
         for (std::int64_t blk = 0; blk < mp; ++blk) {
-          gemm_micro_tile_rows(K, pa + blk * K * mr, xp + n * sample + j0, rows,
-                               tile);
+          gemm_micro_tile_rows(K, pa + blk * K * mr, g.xp + n * sample + j0,
+                               g.rows, tile);
           const std::int64_t f0 = blk * mr;
           for (std::int64_t f = f0; f < std::min(f0 + mr, F); ++f) {
             const float* const tf = tile + (f - f0) * nr;
@@ -435,6 +368,130 @@ void conv_im2col(const Tensor& X, const Tensor& Wt, const Tensor& bias,
         }
       }
     });
+  });
+}
+
+// dW^T[K, F] as an implicit GEMM summing over the (n, oh, ow) positions of
+// the forward's N x Ho x Wq grid: a tile of MR taps reads A as MR streams
+// of the padded X (rows past K repeat the last tap; those lanes are not
+// stored), and B is dY packed once into NR-filter panels, zero in the
+// Wq - Wo pad lanes and past F. Each (K-panel, F-panel) tile's chains run
+// from +0 sample after sample through the L1 tile; it is stored
+// transposed into dW.
+void conv_weight_grad(const Tensor& X, const Tensor& dY, const Conv2DParams& p,
+                      Tensor& dW) {
+  const std::int64_t N = X.dim(0), C = X.dim(1), K = C * dW.dim(2) * dW.dim(3);
+  const std::int64_t F = dY.dim(1), Ho = dY.dim(2), Wo = dY.dim(3);
+  constexpr std::int64_t mr = gemm_micro_mr(), nr = gemm_micro_nr();
+  const std::int64_t kp = (K + mr - 1) / mr, fp = (F + nr - 1) / nr;
+  PaddedInput g(p, C, X.dim(2), X.dim(3));
+  pad_phases<ConvPadded>(X, p, kp * mr, g);
+  const std::int64_t Wq = g.Wq, grid = Ho * Wq;
+  float* const dyp = ThreadScratch<float, struct ConvDyPanels>::get(
+      static_cast<std::size_t>(fp * N * grid * nr));
+  const float* const dy = dY.data();
+  parallel_for(0, fp * N, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t t = lo; t < hi; ++t) {  // t = (F-panel, n)
+      const std::int64_t f0 = t / N * nr, lanes = std::min(nr, F - f0);
+      const float* const src = dy + (t % N * F + f0) * Ho * Wo;
+      float* const d = dyp + t * grid * nr;
+      std::fill(d, d + grid * nr, 0.0f);
+      for (std::int64_t oh = 0; oh < Ho; ++oh)
+        for (std::int64_t ow = 0; ow < Wo; ++ow)
+          for (std::int64_t l = 0; l < lanes; ++l)
+            d[(oh * Wq + ow) * nr + l] = src[(l * Ho + oh) * Wo + ow];
+    }
+  });
+
+  // Chunks of consecutive K-panels: few tiles share dW's cache lines.
+  parallel_for(0, kp * fp, 1 + (1 << 18) / (N * grid * mr * nr),
+               [&](std::int64_t lo, std::int64_t hi) {
+    alignas(64) float tile[mr * nr];
+    for (std::int64_t t = lo; t < hi; ++t) {
+      const std::int64_t k0 = t % kp * mr, f0 = t / kp * nr;
+      std::fill(tile, tile + mr * nr, 0.0f);
+      for (std::int64_t n = 0; n < N; ++n)
+        gemm_micro_tile_streams(grid, g.xp + n * g.sample, g.rows + k0,
+                                dyp + (f0 * N + n * nr) * grid, tile);
+      for (std::int64_t r = 0; r < std::min(mr, K - k0); ++r)
+        for (std::int64_t l = 0; l < std::min(nr, F - f0); ++l)
+          dW.data()[(f0 + l) * K + k0 + r] = tile[r * nr + l];
+    }
+  });
+}
+
+// dX per stride phase (a, b): dX rows a, a + s, ... by columns b, b + s,
+// ... receive the taps with s | a + pad - kh*d and s | b + pad - kw*d, and
+// tap (kh, kw) of phase position (qh, qw) reads dY at
+// (qh + (a + pad - kh*d)/s, qw + (b + pad - kw*d)/s). With dY padded by
+// `lead` on every side, that read lies inside it, so a phase is a stride-1
+// implicit GEMM over the phase's Hph x Wd grid (Wd the padded pitch). Per
+// MR-channel block, the phase's taps in ascending (kh, kw) order each run
+// one chain over f against a W^T panel and add it into the zeroed L1 tile,
+// which is stored into dX's phase rows and columns. A phase with no taps
+// stores zeros.
+void conv_input_grad(const Tensor& Wt, const Tensor& dY, const Conv2DParams& p,
+                     Tensor& dX) {
+  const std::int64_t N = dX.dim(0), C = dX.dim(1), H = dX.dim(2), W = dX.dim(3);
+  const std::int64_t F = dY.dim(1), s = p.stride;
+  constexpr std::int64_t mr = gemm_micro_mr(), nr = gemm_micro_nr();
+  const std::int64_t lead = dy_lead(p);
+  const Conv2DParams q{1, 1, 1, lead, 1};
+  PaddedInput g(q, F, dY.dim(2), dY.dim(3));
+  pad_phases<struct ConvDyPadded>(dY, q, F, g);
+  const std::int64_t Wd = g.Wq;
+
+  // W^T panel of (tap, channel block cb): [f][r] = W[f, cb*MR + r, tap].
+  const std::int64_t taps = p.kernel_h * p.kernel_w, cp = (C + mr - 1) / mr;
+  float* const wt = ThreadScratch<float, struct ConvWtPanels>::get(
+      static_cast<std::size_t>(taps * cp * F * mr));
+  parallel_for(0, taps * cp, 4, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t t = lo; t < hi; ++t)
+      for (std::int64_t f = 0, c0 = t % cp * mr; f < F; ++f)
+        for (std::int64_t r = 0; r < mr; ++r)
+          wt[(t * F + f) * mr + r] =
+              c0 + r < C ? Wt.data()[(f * C + c0 + r) * taps + t / cp] : 0.0f;
+  });
+  // Items (n, phase, tile), over the tile count of the largest phase.
+  const std::int64_t tiles = ((H + s - 1) / s * Wd + nr - 1) / nr;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, (1 << 16) * s * s / (cp * mr * nr * taps * F));
+  float* const dx = dX.data();
+  parallel_for(0, N * s * s * tiles, grain,
+               [&](std::int64_t lo, std::int64_t hi) {
+    alignas(64) float tile[mr * nr];
+    for (std::int64_t item = lo; item < hi; ++item) {
+      const std::int64_t n = item / tiles / (s * s), j0 = item % tiles * nr;
+      const std::int64_t a = item / tiles / s % s, b = item / tiles % s;
+      const std::int64_t Hph = (H - a + s - 1) / s, Wph = (W - b + s - 1) / s;
+      if (j0 >= Hph * Wd || Wph <= 0) continue;
+      const std::int64_t cols = std::min(nr, Hph * Wd - j0);
+      for (std::int64_t cb = 0; cb < cp; ++cb) {
+        std::fill(tile, tile + mr * nr, 0.0f);
+        for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
+          const std::int64_t th = a + p.pad - kh * p.dilation;
+          for (std::int64_t kw = 0; kw < p.kernel_w && th % s == 0; ++kw) {
+            const std::int64_t tw = b + p.pad - kw * p.dilation;
+            if (tw % s != 0) continue;
+            gemm_micro_tile_rows(
+                F, wt + ((kh * p.kernel_w + kw) * cp + cb) * F * mr,
+                g.xp + n * g.sample + (th / s + lead) * Wd + tw / s + lead + j0,
+                g.rows, tile, /*accumulate=*/true);
+          }
+        }
+        for (std::int64_t c = cb * mr; c < std::min(cb * mr + mr, C); ++c) {
+          // Store one phase-row run at a time, skipping pad columns.
+          for (std::int64_t jj = 0; jj < cols;) {
+            const std::int64_t qh = (j0 + jj) / Wd, qw = (j0 + jj) % Wd;
+            const std::int64_t len = std::min(Wph - qw, cols - jj);
+            float* d = dx + ((n * C + c) * H + a + qh * s) * W + b + qw * s;
+            for (std::int64_t i = 0; i < len; ++i)
+              d[i * s] = tile[(c - cb * mr) * nr + jj + i];
+            jj += len > 0 ? len : Wd - qw;
+          }
+        }
+      }
+    }
   });
 }
 
@@ -617,88 +674,30 @@ void Conv2DOp::forward(const ConstTensors& inputs, const MutTensors& outputs) {
   if (!fuse) epilogue_.forward_post(Y.data(), Y.elements());
 }
 
-// Whole-minibatch packed-GEMM backward, with NS = N*spatial, K = C*kh*kw.
-// Its workspace covers all N samples at once, so it is proportional to the
-// minibatch size: the batch-scaling workspace behaviour (as in cuDNN's
-// non-fused algorithms) that the paper's micro-batching transformation
-// (§V-C) exploits, since splitting the minibatch shrinks it and removes
-// OOMs. workspace_bytes reports it.
-//
-//   dyf[F, NS]  = dY regrouped filter-major     db[f] = row_sum(dyf row f)
-//   dW^T[K, F]  = col[K, NS] x dyf^T            (M = K: K/MR row panels)
-//   dcol[K, NS] = W^T[K, F] x dyf[F, NS]        then col2im per sample
-// Both GEMMs put K on the panel axis so even 8-filter layers split across
-// the pool. Every output element is one microkernel tile's ascending-k fma
-// chain (or a fixed-order row sum), and every decomposition depends only on
-// the problem size, so results are bitwise identical at any thread count.
+// Two implicit GEMMs over padded buffers and a row sum, with no column
+// matrix and no scatter. Each gradient element is the fma chain of the
+// whole-minibatch im2col formulation, over the same values in the same
+// order, up to products with a padding zero, which leave a finite chain's
+// bits alone (DESIGN.md §9). Every parallel split depends on the shape
+// alone.
 void Conv2DOp::backward(const ConstTensors& grad_outputs,
                         const ConstTensors& fwd_inputs,
                         const ConstTensors& fwd_outputs,
                         const MutTensors& grad_inputs) {
   const Tensor& dY =
       *epilogue_.backward(grad_outputs[0], fwd_outputs[0]->data());
-  const Tensor& X = *fwd_inputs[0];
-  const Tensor& Wt = *fwd_inputs[1];
-  Tensor* const dX = grad_inputs[0];
-  Tensor* const dW = grad_inputs[1];
-  Tensor* const db = grad_inputs[2];
-  const std::int64_t N = X.dim(0), C = X.dim(1), H = X.dim(2), W = X.dim(3);
-  const std::int64_t F = Wt.dim(0);
-  const std::int64_t spatial = params_.out_dim(H, params_.kernel_h) *
-                               params_.out_dim(W, params_.kernel_w);
-  const std::int64_t K = C * params_.kernel_h * params_.kernel_w;
-  const std::int64_t NS = N * spatial;
-  const std::int64_t mr = gemm_micro_mr();
-
-  float* const col = conv_col(gemm_packed_a_elems(K, NS));
-  float* const dyf = conv_stage(F * NS + gemm_packed_a_elems(K, F));
-  float* const tail = dyf + F * NS;
-
-  const float* const dy = dY.data();
-  float* const dbias = db != nullptr ? db->data() : nullptr;
-  parallel_for(0, F, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t f = lo; f < hi; ++f) {
-      float* row = dyf + f * NS;
-      for (std::int64_t n = 0; n < N; ++n)
-        std::memcpy(row + n * spatial, dy + (n * F + f) * spatial,
-                    static_cast<std::size_t>(spatial) * sizeof(float));
-      if (dbias != nullptr) dbias[f] = row_sum(row, NS);
-    }
-  });
-
-  if (dW != nullptr) {
-    const float* const x = X.data();
-    parallel_for(0, N, 1, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t n = lo; n < hi; ++n)
-        im2col_panels(x + n * C * H * W, C, H, W, params_, col, NS,
-                      n * spatial);
-    });
-    gemm_packed_ex(K, F, NS, 1.0f, nullptr, col, dyf, nullptr,
-                   /*b_transposed=*/true, 0.0f, tail);
-    float* const w = dW->data();
-    for (std::int64_t f = 0; f < F; ++f)
-      for (std::int64_t k = 0; k < K; ++k) w[f * K + k] = tail[k * F + f];
-  }
-
-  if (dX != nullptr) {
-    // W [F, K] read as W^T [K, F], packed straight into MR-row A panels.
-    const float* const w = Wt.data();
-    for (std::int64_t k0 = 0; k0 < K; k0 += mr)
-      for (std::int64_t f = 0; f < F; ++f)
-        for (std::int64_t r = 0; r < mr; ++r)
-          tail[k0 * F + f * mr + r] = k0 + r < K ? w[f * K + k0 + r] : 0.0f;
-    gemm_packed_ex(K, NS, F, 1.0f, nullptr, tail, dyf, nullptr,
-                   /*b_transposed=*/false, 0.0f, col);
-    float* const dx = dX->data();
-    parallel_for(0, N, 1, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t n = lo; n < hi; ++n) {
-        float* dxn = dx + n * C * H * W;
-        std::memset(dxn, 0,
-                    static_cast<std::size_t>(C * H * W) * sizeof(float));
-        col2im(col + n * spatial, C, H, W, params_, dxn, NS);
-      }
+  if (Tensor* const db = grad_inputs[2]) {
+    const std::int64_t F = dY.dim(1), spatial = dY.dim(2) * dY.dim(3);
+    parallel_for(0, F, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t f = lo; f < hi; ++f)
+        db->data()[f] = row_sum(dY.data() + f * spatial, dY.dim(0), spatial,
+                                F * spatial);
     });
   }
+  if (grad_inputs[1] != nullptr)
+    conv_weight_grad(*fwd_inputs[0], dY, params_, *grad_inputs[1]);
+  if (grad_inputs[0] != nullptr)
+    conv_input_grad(*fwd_inputs[1], dY, params_, *grad_inputs[0]);
 }
 
 std::uint64_t Conv2DOp::forward_flops(const std::vector<Shape>& inputs) const {
@@ -721,14 +720,20 @@ std::size_t Conv2DOp::workspace_bytes(const std::vector<Shape>& inputs) const {
     case ConvBackend::kDirect:
       return 0;
     case ConvBackend::kIm2col: {
-      // The backward's workspace at its peak: the whole-minibatch col (K
-      // padded to MR rows) and stage buffers scale with the minibatch
-      // size; the [Kp, F] tail does not.
-      const std::int64_t F = inputs[1][0];
-      const std::int64_t NS = x[0] * Ho * Wo;
-      return static_cast<std::size_t>(gemm_packed_a_elems(K, NS) + F * NS +
-                                      gemm_packed_a_elems(K, F)) *
-             sizeof(float);
+      // Every scratch buffer a training step grows (grow-only, so they
+      // coexist): the padded X and dY and the packed dY (these scale with
+      // the minibatch), the W and W^T panels and the tap offsets.
+      const std::int64_t N = x[0], C = x[1], F = inputs[1][0];
+      const std::int64_t mr = gemm_micro_mr(), nr = gemm_micro_nr();
+      const PaddedInput gx(params_, C, x[2], x[3]);
+      const PaddedInput gy({1, 1, 1, dy_lead(params_), 1}, F, Ho, Wo);
+      const std::int64_t floats =
+          N * (gx.sample + gy.sample) + gx.Wq + gy.Wq + 2 * nr +
+          (F + nr - 1) / nr * nr * N * Ho * gx.Wq + gemm_packed_a_elems(F, K) +
+          params_.kernel_h * params_.kernel_w * ((C + mr - 1) / mr * mr) * F;
+      const std::int64_t offsets = std::max((K + mr - 1) / mr * mr, F);
+      return static_cast<std::size_t>(floats) * sizeof(float) +
+             static_cast<std::size_t>(offsets) * sizeof(std::int64_t);
     }
     case ConvBackend::kWinograd:
       // filter transforms + per-thread input tile buffers

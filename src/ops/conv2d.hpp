@@ -14,12 +14,13 @@
 //               bitwise equal to conv2d_forward_reference
 //   kWinograd — Winograd F(2x2, 3x3) minimal filtering (Lavin & Gray);
 //               requires 3x3 kernel, stride 1, dilation 1
-// Backward, for every backend, is the im2col formulation run as
-// whole-minibatch packed GEMMs (Conv2DOp::backward in conv2d.cpp): one
-// GEMM for dW over all N samples at once, one for the column gradient, then
-// col2im per sample. Its workspace scales with the minibatch, which is what
-// micro-batching (graph/microbatch) shrinks. DESIGN.md §9 gives the
-// determinism argument for both directions.
+// Backward, for every backend, is two implicit GEMMs (Conv2DOp::backward
+// in conv2d.cpp): dW streams the padded X against a packed dY, and dX runs
+// one stride-1 implicit GEMM per stride phase over a zero-padded dY,
+// storing each dX element once. Both are bitwise equal to the im2col
+// formulation they replace; their workspace scales with the minibatch,
+// which is what micro-batching (graph/microbatch) shrinks. DESIGN.md §9
+// gives the determinism argument for both directions.
 #pragma once
 
 #include "ops/gemm.hpp"
@@ -78,12 +79,11 @@ class Conv2DOp : public CustomOperator {
   }
 
   /// Bytes of per-thread scratch for the given input shapes; used by the
-  /// micro-batching memory model (Level 1). kIm2col reports its backward's
-  /// whole-minibatch workspace; its forward's padded input (N*C*Hq*Wq
-  /// floats per kept stride phase pair, plus NR + Wq) is a separate
-  /// buffer, smaller for all but layers of a few dozen floats, and is not
-  /// counted. kDirect and kWinograd report their forward scratch only
-  /// (their backward runs on the im2col workspace).
+  /// micro-batching memory model (Level 1). kIm2col reports every scratch
+  /// buffer its forward and backward grow: the padded X, the packed and
+  /// the padded dY (these three scale with the minibatch), the weight
+  /// panels and the tap-offset table. kDirect and kWinograd report their
+  /// forward scratch only (their backward runs on the im2col buffers).
   std::size_t workspace_bytes(const std::vector<Shape>& inputs) const;
 
   /// Fused activation epilogue chain; see MatMulOp::try_fuse_epilogue.
@@ -110,11 +110,6 @@ class Conv2DOp : public CustomOperator {
 /// Exposed for tests.
 void im2col(const float* x, std::int64_t C, std::int64_t H, std::int64_t W,
             const Conv2DParams& p, float* col, std::int64_t row_stride = 0);
-
-/// Transposed scatter of im2col (accumulates into x_grad); rows of `col`
-/// are `row_stride` floats apart (0 = Ho*Wo).
-void col2im(const float* col, std::int64_t C, std::int64_t H, std::int64_t W,
-            const Conv2DParams& p, float* x_grad, std::int64_t row_stride = 0);
 
 /// Reference conv forward: per sample, im2col, then gemm(kPacked) into
 /// Y's [F, Ho*Wo] plane, then the bias add and `chain` (chain_len links)

@@ -185,8 +185,20 @@ void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
 #define D500_UNROLL
 #endif
 
+// Where the microkernel reads A element (k, r): a packed kMR-interleaved
+// panel, or (the convolution weight gradient) kMR streams of a padded input.
+struct PanelA {
+  const float* panel;
+  float operator()(std::int64_t k, int r) const { return panel[k * kMR + r]; }
+};
+
+struct StreamsA {
+  const float* s[kMR];
+  float operator()(std::int64_t k, int r) const { return s[r][k]; }
+};
+
 // Where the microkernel reads B row k: a packed kNR-column panel, or (the
-// convolution forward) kNR floats at an offset into a padded input.
+// convolution forward and dX) kNR floats at an offset into a padded input.
 struct PanelRows {
   const float* panel;
   const float* operator()(std::int64_t k) const { return panel + k * kNR; }
@@ -198,13 +210,17 @@ struct OffsetRows {
   const float* operator()(std::int64_t k) const { return base + rows[k]; }
 };
 
-// C(rows x cols) = alpha * Ap x B (+ C when LoadC) for one (m-panel,
-// n-panel) pair. Ap: kMR-interleaved, zero-padded; B: kNR-wide rows, each
-// found by `b_rows` (zero-padded columns when it is a packed panel). All
+// kStore writes fma(alpha, acc, 0); kAdd, fma(alpha, acc, c); kCarry starts
+// acc from a full kMR x kNR tile of C and stores like kStore.
+enum class CMode { kStore, kAdd, kCarry };
+
+// C(rows x cols) = alpha * A x B (+ C under kAdd) for one (m-panel,
+// n-panel) pair. A: `a(k, r)`, zero-padded to kMR rows when packed; B:
+// kNR-wide rows found by `b_rows`, zero-padded columns when packed. All
 // accumulation is per output element in ascending k with
 // one fma per step, and writeback is one fma per element in both the
 // full-width and the spill path — so results are identical for every
-// instantiation V. Without LoadC (beta == 0) the writeback is
+// instantiation V. Under kStore (beta == 0) the writeback is
 // fma(alpha, acc, 0) from registers: the same bits a memset C reloaded as
 // the fma's addend gives, without the memset and the reload.
 //
@@ -220,26 +236,29 @@ struct OffsetRows {
 // k-loop's register allocation and serialize the chain per kNR-wide slice.
 // The chain instead runs per completed row block in gemm_packed_ex, while
 // the block is still L1-resident (see apply_block_epilogue).
-template <class V, bool HasBias, bool LoadC, class BRows = PanelRows>
-void micro_kernel(std::int64_t K, const float* Ap, BRows b_rows, float alpha,
+template <class V, bool HasBias, CMode Mode, class ARows = PanelA,
+          class BRows = PanelRows>
+void micro_kernel(std::int64_t K, ARows a, BRows b_rows, float alpha,
                   float* C, std::int64_t ldc, std::int64_t rows,
                   std::int64_t cols, const float* bias) {
   constexpr int NV = static_cast<int>(kNR / V::width);
+  constexpr bool LoadC = Mode == CMode::kAdd;
   V acc[kMR][NV];
   D500_UNROLL
   for (int r = 0; r < kMR; ++r)
     D500_UNROLL
-    for (int v = 0; v < NV; ++v) acc[r][v] = V::zero();
+    for (int v = 0; v < NV; ++v)
+      acc[r][v] = Mode == CMode::kCarry ? V::loadu(C + r * ldc + v * V::width)
+                                        : V::zero();
 
   for (std::int64_t k = 0; k < K; ++k) {
     const float* b = b_rows(k);
     V bv[NV];
     D500_UNROLL
     for (int v = 0; v < NV; ++v) bv[v] = V::loadu(b + v * V::width);
-    const float* a = Ap + k * kMR;
     D500_UNROLL
     for (int r = 0; r < kMR; ++r) {
-      const V av = V::broadcast(a[r]);
+      const V av = V::broadcast(a(k, r));
       D500_UNROLL
       for (int v = 0; v < NV; ++v) acc[r][v] = V::fma(av, bv[v], acc[r][v]);
     }
@@ -276,22 +295,31 @@ void micro_kernel(std::int64_t K, const float* Ap, BRows b_rows, float alpha,
   }
 }
 
-using MicroKernelFn = void (*)(std::int64_t, const float*, PanelRows, float,
+using MicroKernelFn = void (*)(std::int64_t, PanelA, PanelRows, float,
                                float*, std::int64_t, std::int64_t, std::int64_t,
                                const float*);
 
-template <bool HasBias, bool LoadC>
+template <bool HasBias, CMode Mode>
 MicroKernelFn pick_micro_kernel() {
-  return simd::dispatch_simd() ? &micro_kernel<VecN, HasBias, LoadC>
-                               : &micro_kernel<Vec1, HasBias, LoadC>;
+  return simd::dispatch_simd() ? &micro_kernel<VecN, HasBias, Mode>
+                               : &micro_kernel<Vec1, HasBias, Mode>;
 }
 
 MicroKernelFn pick_micro_kernel(bool has_bias, bool load_c) {
   if (has_bias)
-    return load_c ? pick_micro_kernel<true, true>()
-                  : pick_micro_kernel<true, false>();
-  return load_c ? pick_micro_kernel<false, true>()
-                : pick_micro_kernel<false, false>();
+    return load_c ? pick_micro_kernel<true, CMode::kAdd>()
+                  : pick_micro_kernel<true, CMode::kStore>();
+  return load_c ? pick_micro_kernel<false, CMode::kAdd>()
+                : pick_micro_kernel<false, CMode::kStore>();
+}
+
+// One full kMR x kNR tile with alpha 1 and no bias.
+template <CMode Mode, class ARows, class BRows>
+void micro_tile(std::int64_t K, ARows a, BRows b, float* tile) {
+  simd::dispatch([&](auto tag) {
+    micro_kernel<decltype(tag), false, Mode>(K, a, b, 1.0f, tile, kNR, kMR,
+                                             kNR, nullptr);
+  });
 }
 
 // Runs the activation chain (and the optional pre-chain save-out the
@@ -325,14 +353,21 @@ void apply_block_epilogue(const GemmEpilogue* epi, float* c, float* pre,
 
 void gemm_micro_tile_rows(std::int64_t K, const float* packed_a,
                           const float* base, const std::int64_t* rows,
-                          float* tile) {
+                          float* tile, bool accumulate) {
+  const PanelA a{packed_a};
   const OffsetRows b{base, rows};
-  if (simd::dispatch_simd())
-    micro_kernel<VecN, false, false>(K, packed_a, b, 1.0f, tile, kNR, kMR, kNR,
-                                     nullptr);
+  if (accumulate)
+    micro_tile<CMode::kAdd>(K, a, b, tile);
   else
-    micro_kernel<Vec1, false, false>(K, packed_a, b, 1.0f, tile, kNR, kMR, kNR,
-                                     nullptr);
+    micro_tile<CMode::kStore>(K, a, b, tile);
+}
+
+void gemm_micro_tile_streams(std::int64_t K, const float* base,
+                             const std::int64_t* rows, const float* packed_b,
+                             float* tile) {
+  StreamsA a;
+  for (int r = 0; r < kMR; ++r) a.s[r] = base + rows[r];
+  micro_tile<CMode::kCarry>(K, a, PanelRows{packed_b}, tile);
 }
 
 std::int64_t gemm_packed_a_elems(std::int64_t M, std::int64_t K) {
@@ -442,9 +477,8 @@ void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
       }
       for (std::int64_t p = 0; p < np; ++p) {
         const std::int64_t j0 = p * kNR;
-        micro(K, pa + blk * K * kMR, PanelRows{pb + p * K * kNR}, alpha,
-              C + i0 * N + j0,
-              N, rows, std::min(kNR, N - j0),
+        micro(K, PanelA{pa + blk * K * kMR}, PanelRows{pb + p * K * kNR},
+              alpha, C + i0 * N + j0, N, rows, std::min(kNR, N - j0),
               bias != nullptr ? bias + j0 : nullptr);
       }
       if (block_epi)

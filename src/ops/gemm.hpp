@@ -145,16 +145,22 @@ constexpr std::int64_t gemm_micro_mr() { return 6; }
 constexpr std::int64_t gemm_micro_nr() { return 2 * simd::kNativeWidth; }
 
 /// One full register tile whose B operand is read in place (the
-/// implicit-GEMM convolution forward): tile[r * NR + j] = the sum over
-/// ascending k of packed_a[k * MR + r] * base[rows[k] + j], for the
-/// MR x NR = gemm_micro_mr() x gemm_micro_nr() tile. packed_a is one
-/// MR-row panel in gemm_pack_a layout; B row k is the NR floats at
-/// base + rows[k]. The k-loop is gemm_packed_ex's, so each element is the
-/// same fma chain and store it gives with alpha 1, beta 0 and a packed B
-/// panel holding those rows: the bits match it.
+/// implicit-GEMM convolution forward and dX): tile[r * NR + j] = the sum
+/// over ascending k of packed_a[k * MR + r] * base[rows[k] + j], for the
+/// MR x NR = gemm_micro_mr() x gemm_micro_nr() tile, plus the tile's old
+/// value if `accumulate`. packed_a is one MR-row panel in gemm_pack_a
+/// layout; B row k is the NR floats at base + rows[k]. The k-loop and store
+/// are gemm_packed_ex's (alpha 1, beta 0 or 1), so the bits match it.
 void gemm_micro_tile_rows(std::int64_t K, const float* packed_a,
                           const float* base, const std::int64_t* rows,
-                          float* tile);
+                          float* tile, bool accumulate = false);
+
+/// Like gemm_micro_tile_rows with A read in place (the convolution dW):
+/// A element (k, r) is base[rows[r] + k], B one NR-column gemm_pack_b
+/// panel, and each element's fma chain continues from the tile's value.
+void gemm_micro_tile_streams(std::int64_t K, const float* base,
+                             const std::int64_t* rows, const float* packed_b,
+                             float* tile);
 
 /// kPacked core with optional pre-packed operands. Computes
 /// C = alpha * A x B + beta * C. `packedA` / `packedB` — when non-null —

@@ -1,5 +1,6 @@
 // Conv2D tests: backend cross-validation (direct vs im2col vs Winograd),
-// im2col/col2im adjointness, shape inference, gradients.
+// the backward's bits against an exact-order oracle and its adjointness to
+// the forward, shape inference, gradients.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -124,37 +125,6 @@ TEST(Conv, ShapeInference) {
   }
 }
 
-TEST(Conv, Im2colCol2imAdjoint) {
-  // <im2col(x), c> == <x, col2im(c)> — adjointness property used by the
-  // backward pass.
-  const std::int64_t C = 2, H = 5, W = 6;
-  Conv2DParams p;
-  p.kernel_h = p.kernel_w = 3;
-  p.stride = 2;
-  p.pad = 1;
-  const std::int64_t Ho = p.out_dim(H, 3), Wo = p.out_dim(W, 3);
-  const std::int64_t K = C * 9;
-  Rng rng(4);
-  std::vector<float> x(static_cast<std::size_t>(C * H * W));
-  std::vector<float> c(static_cast<std::size_t>(K * Ho * Wo));
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  for (auto& v : c) v = rng.uniform(-1, 1);
-
-  std::vector<float> col(c.size());
-  im2col(x.data(), C, H, W, p, col.data());
-  double lhs = 0;
-  for (std::size_t i = 0; i < c.size(); ++i)
-    lhs += static_cast<double>(col[i]) * c[i];
-
-  std::vector<float> xg(x.size(), 0.0f);
-  col2im(c.data(), C, H, W, p, xg.data());
-  double rhs = 0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    rhs += static_cast<double>(x[i]) * xg[i];
-
-  EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
 TEST(Conv, GradientCheckIm2col) {
   Conv2DParams p;
   p.kernel_h = p.kernel_w = 3;
@@ -185,11 +155,15 @@ TEST(Conv, GradientCheckStrided) {
   EXPECT_TRUE(res.passed) << "max_rel=" << res.max_rel_error;
 }
 
-// Backward geometries covering every panel edge of the packed GEMMs:
-// K = C*kh*kw not a multiple of MR (27, 2) and a multiple (36, 72),
-// N*spatial not a multiple of the NR width, F below and above one NR panel,
-// stride 2 (with the last output column's taps both inside and past the
-// right edge), pad 1, dilation 2 and N = 1.
+constexpr std::int64_t kNR = gemm_micro_nr();
+
+// Backward geometries: K = C*kh*kw not a multiple of MR (27, 2) and a
+// multiple (36, 72); F below, at and above one NR panel (1, NR + 3, 17);
+// strides 2 and 3 (with the last output column's taps both inside and past
+// the right edge), dilation 2 at strides 1 and 2, a 1x1 kernel at stride 2
+// (three of its four dX phases have no tap), pad past the kernel's reach
+// ((k-1)*d), output rows of NR and NR + 1, N = 1, and alexnet_like's 5x5
+// pad-2 layer.
 struct BwdCase {
   std::int64_t N, C, H, W, F, k, stride, pad, dilation;
 };
@@ -200,7 +174,25 @@ const BwdCase kBwdCases[] = {
     {2, 3, 9, 9, 6, 3, 2, 1, 1},    // stride 2 clipping the right edge
     {3, 2, 6, 6, 9, 1, 1, 0, 1},    // 1x1: K=2, one padded panel
     {2, 8, 5, 5, 17, 3, 1, 1, 1},   // F=17 spans two column panels
+    {2, 3, 11, 13, 5, 3, 3, 1, 1},  // stride 3, H != W
+    {2, 2, 13, 12, 7, 3, 2, 2, 2},  // stride 2, dilation 2, pad 2
+    {2, 4, 9, 8, 6, 1, 2, 0, 1},    // 1x1 kernel, stride 2: tap-less phases
+    {2, 2, 6, 7, 3, 3, 1, 3, 1},    // pad 3 > (k-1)*d
+    {1, 2, 3, 1, 2, 3, 2, 3, 1},    // W = 1, pad 3, stride 2
+    {1, 2, 5, kNR, 3, 3, 1, 1, 1},  // Wo = NR
+    {2, 2, 4, kNR + 1, 7, 3, 1, 1, 1},  // Wo = NR + 1
+    {2, 3, 7, 9, 1, 3, 1, 1, 1},        // F = 1
+    {2, 3, 6, 6, kNR + 3, 3, 1, 1, 1},  // F = NR + 3
+    {2, 16, 16, 16, 32, 5, 1, 2, 1},    // alexnet_like: 5x5, pad 2
 };
+
+std::string case_name(const BwdCase& c) {
+  return "N" + std::to_string(c.N) + "C" + std::to_string(c.C) + "H" +
+         std::to_string(c.H) + "W" + std::to_string(c.W) + "F" +
+         std::to_string(c.F) + "k" + std::to_string(c.k) + "s" +
+         std::to_string(c.stride) + "p" + std::to_string(c.pad) + "d" +
+         std::to_string(c.dilation);
+}
 
 struct BwdResult {
   Tensor dX, dW, db;
@@ -237,7 +229,7 @@ BwdResult run_backward(const BwdInputs& in) {
   return r;
 }
 
-void expect_bitwise(const Tensor& a, const Tensor& b, const char* what,
+void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what,
                     simd::KernelDispatch dispatch, int threads) {
   ASSERT_EQ(a.elements(), b.elements());
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
@@ -261,14 +253,127 @@ TEST(Conv, BackwardBitwiseAcrossThreads) {
       for (int threads : {1, 2, 4}) {
         ThreadPool::instance().reset(threads);
         const BwdResult got = run_backward(in);
-        expect_bitwise(got.dX, ref.dX, "dX", dispatch, threads);
-        expect_bitwise(got.dW, ref.dW, "dW", dispatch, threads);
-        expect_bitwise(got.db, ref.db, "db", dispatch, threads);
+        expect_bitwise(got.dX, ref.dX, case_name(c) + " dX", dispatch, threads);
+        expect_bitwise(got.dW, ref.dW, case_name(c) + " dW", dispatch, threads);
+        expect_bitwise(got.db, ref.db, case_name(c) + " db", dispatch, threads);
       }
     }
     simd::set_kernel_dispatch(mode);
   }
   ThreadPool::instance().reset(1);
+}
+
+// A scalar backward in the order of the whole-minibatch im2col formulation
+// the implicit GEMMs replace: dcol[k, (n, s)] is a std::fma chain over
+// ascending f from +0, added in ascending (c, kh, kw) row order into a
+// zeroed dX; dW[f, k] is a std::fma chain over ascending (n, oh, ow) from
+// +0 (a padding tap contributes a zero product); db[f] sums the filter's
+// N*Ho*Wo values as eight interleaved partials, element g into partial
+// g % 8, combined in a fixed tree, then the tail in order.
+BwdResult parent_order_backward(const BwdInputs& in) {
+  const Conv2DParams& p = in.p;
+  const std::int64_t N = in.X.dim(0), C = in.X.dim(1), H = in.X.dim(2),
+                     W = in.X.dim(3), F = in.Wt.dim(0);
+  const std::int64_t Ho = in.dY.dim(2), Wo = in.dY.dim(3), S = Ho * Wo;
+  const std::int64_t kk = p.kernel_h * p.kernel_w, K = C * kk;
+  const float* x = in.X.data();
+  const float* w = in.Wt.data();
+  const float* dy = in.dY.data();
+  BwdResult r{Tensor(in.X.shape()), Tensor(in.Wt.shape()), Tensor({F})};
+  r.dX.fill(0.0f);
+  // Input position of tap k at output s, or -1 in the padding.
+  auto tap_input = [&](std::int64_t k, std::int64_t s) -> std::int64_t {
+    const std::int64_t c = k / kk, kh = k % kk / p.kernel_w,
+                       kw = k % p.kernel_w;
+    const std::int64_t ih = s / Wo * p.stride - p.pad + kh * p.dilation;
+    const std::int64_t iw = s % Wo * p.stride - p.pad + kw * p.dilation;
+    if (ih < 0 || ih >= H || iw < 0 || iw >= W) return -1;
+    return (c * H + ih) * W + iw;
+  };
+  for (std::int64_t n = 0; n < N; ++n) {
+    for (std::int64_t k = 0; k < K; ++k) {
+      for (std::int64_t s = 0; s < S; ++s) {
+        float acc = 0.0f;
+        for (std::int64_t f = 0; f < F; ++f)
+          acc = std::fma(w[f * K + k], dy[(n * F + f) * S + s], acc);
+        const std::int64_t i = tap_input(k, s);
+        if (i >= 0) r.dX.data()[n * C * H * W + i] += acc;
+      }
+    }
+  }
+  for (std::int64_t f = 0; f < F; ++f) {
+    for (std::int64_t k = 0; k < K; ++k) {
+      float acc = 0.0f;
+      for (std::int64_t n = 0; n < N; ++n)
+        for (std::int64_t s = 0; s < S; ++s) {
+          const std::int64_t i = tap_input(k, s);
+          acc = std::fma(i >= 0 ? x[n * C * H * W + i] : 0.0f,
+                         dy[(n * F + f) * S + s], acc);
+        }
+      r.dW.data()[f * K + k] = acc;
+    }
+    const std::int64_t NS = N * S, body = NS / 8 * 8;
+    float part[8] = {};
+    auto val = [&](std::int64_t g) { return dy[(g / S * F + f) * S + g % S]; };
+    for (std::int64_t g = 0; g < body; ++g) part[g % 8] += val(g);
+    float sum = ((part[0] + part[1]) + (part[2] + part[3])) +
+                ((part[4] + part[5]) + (part[6] + part[7]));
+    for (std::int64_t g = body; g < NS; ++g) sum += val(g);
+    r.db.data()[f] = sum;
+  }
+  return r;
+}
+
+TEST(Conv, BackwardBitwiseMatchesParentOrder) {
+  const simd::KernelDispatch mode = simd::kernel_dispatch();
+  for (const BwdCase& c : kBwdCases) {
+    const BwdInputs in = make_bwd_inputs(c);
+    const BwdResult ref = parent_order_backward(in);
+    for (auto dispatch : {simd::KernelDispatch::kScalar,
+                          simd::KernelDispatch::kSimd}) {
+      simd::set_kernel_dispatch(dispatch);
+      for (int threads : {1, 2, 4}) {
+        ThreadPool::instance().reset(threads);
+        const BwdResult got = run_backward(in);
+        expect_bitwise(got.dX, ref.dX, case_name(c) + " dX", dispatch, threads);
+        expect_bitwise(got.dW, ref.dW, case_name(c) + " dW", dispatch, threads);
+        expect_bitwise(got.db, ref.db, case_name(c) + " db", dispatch, threads);
+      }
+    }
+  }
+  simd::set_kernel_dispatch(mode);
+  ThreadPool::instance().reset(1);
+}
+
+// The backward is the forward's adjoint: with a zero bias,
+// <conv(X; W), dY> = <X, dX> = <W, dW>, each inner product accumulated in
+// double. Tolerance: 1e-5 of the sum of |terms| on the left; each float
+// gradient element carries a relative rounding error of a few ULP per
+// summed product, far below it.
+TEST(Conv, BackwardIsAdjointOfForward) {
+  for (const BwdCase& c : kBwdCases) {
+    const BwdInputs in = make_bwd_inputs(c);
+    Conv2DOp op(in.p, ConvBackend::kIm2col);
+    Tensor b({in.Wt.dim(0)});
+    b.fill(0.0f);
+    Tensor Y(in.dY.shape());
+    op.forward({&in.X, &in.Wt, &b}, {&Y});
+    const BwdResult g = run_backward(in);
+    auto dot = [](const Tensor& u, const Tensor& v, double* mag) {
+      double sum = 0;
+      for (std::int64_t i = 0; i < u.elements(); ++i) {
+        const double t = static_cast<double>(u.at(i)) * v.at(i);
+        sum += t;
+        if (mag != nullptr) *mag += std::fabs(t);
+      }
+      return sum;
+    };
+    double mag = 0;
+    const double lhs = dot(Y, in.dY, &mag);
+    const double tol = 1e-5 * std::max(1.0, mag);
+    EXPECT_NEAR(dot(in.X, g.dX, nullptr), lhs, tol) << case_name(c) << " dX";
+    EXPECT_NEAR(dot(in.Wt, g.dW, nullptr), lhs, tol) << case_name(c) << " dW";
+  }
 }
 
 // Tolerance: 1e-4 relative to max(1, |reference|). Each gradient element is
@@ -308,8 +413,6 @@ TEST(Conv, BackwardMatchesNaiveReference) {
 struct FwdCase {
   std::int64_t N, C, H, W, F, k, stride, pad, dilation;
 };
-
-constexpr std::int64_t kNR = gemm_micro_nr();
 
 const FwdCase kFwdCases[] = {
     {2, 1, 32, 32, 6, 5, 1, 0, 1},   // LeNet conv1: 28x28 outputs
@@ -413,14 +516,24 @@ TEST(Conv, WorkspaceScalesWithBatch) {
   const Shape w{32, 16, 5, 5}, b{32};
   const std::size_t ws1 = op.workspace_bytes({{1, 16, 16, 16}, w, b});
   const std::size_t ws64 = op.workspace_bytes({{64, 16, 16, 16}, w, b});
-  // Per sample: col with K = 16*5*5 padded to the microkernel's MR rows,
-  // plus the 32-filter stage; once per call: the backward's [Kp, F] tail.
+  // Per sample: the padded X (16 planes of 20 x 20), dY padded by 2 on
+  // every side (32 planes of 20 x 20), and dY packed into NR-filter panels
+  // over the 16 x 20 padded-pitch grid. Once per call: NR + 20 floats of
+  // slack after each padded buffer, the forward's W panels (32 filters
+  // padded to MR rows, K = 400), the W^T panels (25 taps, 16 channels
+  // padded to MR rows, 32 filters), and the tap-offset table (K padded to
+  // MR rows, 8-byte entries).
   const std::size_t mr = static_cast<std::size_t>(gemm_micro_mr());
-  const std::size_t kp = (400 + mr - 1) / mr * mr;
-  const std::size_t per_sample = (kp + 32) * 16 * 16 * sizeof(float);
-  const std::size_t tail = kp * 32 * sizeof(float);
-  EXPECT_EQ(ws1, per_sample + tail);
-  EXPECT_EQ(ws64, 64 * per_sample + tail);
+  const std::size_t nr = static_cast<std::size_t>(gemm_micro_nr());
+  const std::size_t f_panels = (32 + nr - 1) / nr * nr;
+  const std::size_t per_sample =
+      (16 * 20 * 20 + 32 * 20 * 20 + f_panels * 16 * 20) * sizeof(float);
+  const std::size_t fixed =
+      (2 * (nr + 20) + (32 + mr - 1) / mr * mr * 400 +
+       25 * ((16 + mr - 1) / mr * mr) * 32) * sizeof(float) +
+      (400 + mr - 1) / mr * mr * sizeof(std::int64_t);
+  EXPECT_EQ(ws1, per_sample + fixed);
+  EXPECT_EQ(ws64, 64 * per_sample + fixed);
   Conv2DOp direct(p, ConvBackend::kDirect);
   EXPECT_EQ(direct.workspace_bytes({{64, 16, 16, 16}, w, b}), 0u);
 }

@@ -12,6 +12,9 @@
 #include <cmath>
 #include <filesystem>
 #include <mutex>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/env.hpp"
 #include "data/dataset.hpp"
@@ -54,7 +57,9 @@ TEST(Integration, ModelExchangeAcrossFrameworks) {
 }
 
 TEST(Integration, SaveLoadTrainIsBitReproducible) {
-  const std::string path = scratch_dir() + "/integ_model.d5m";
+  // Per-process names: several checkouts may run ctest on one host.
+  const std::string path =
+      scratch_dir() + "/integ_model_" + std::to_string(getpid()) + ".d5m";
   const Model m = models::mlp(8, 20, {16}, 4, 92);
   save_model(m, path);
   const Model loaded = load_model(path);
@@ -125,7 +130,8 @@ TEST(Integration, CustomOperatorInsideNetworkUnderFramework) {
 TEST(Integration, RecordPipelineFeedsFrameworkTraining) {
   // Levels 2+1: materialized on-disk records -> pseudo-shuffle pipeline ->
   // minibatches -> framework executor training.
-  const std::string dir = scratch_dir() + "/integ_pipeline";
+  const std::string dir =
+      scratch_dir() + "/integ_pipeline_" + std::to_string(getpid());
   std::filesystem::create_directories(dir);
   DatasetSpec spec{"integ", 1, 12, 12, 4, 128};
   ProceduralImageDataset src(spec, 93);

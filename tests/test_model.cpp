@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/env.hpp"
 #include "graph/model.hpp"
@@ -94,7 +97,8 @@ TEST(Model, SerializationRoundTripIsExact) {
 }
 
 TEST(Model, FileSaveLoad) {
-  const std::string path = scratch_dir() + "/test_model.d5m";
+  const std::string path =
+      scratch_dir() + "/test_model_" + std::to_string(getpid()) + ".d5m";
   const Model m = models::mlp(2, 8, {16}, 4, 9);
   save_model(m, path);
   const Model m2 = load_model(path);

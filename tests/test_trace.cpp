@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/env.hpp"
 #include "core/metrics.hpp"
@@ -304,11 +307,13 @@ TEST(Trace, WriteProducesLoadableFile) {
   Trace::reset();
   trace_instant("test", "filed");
   Trace::disable();
-  const std::string path = scratch_dir() + "/test_trace_out.json";
+  const std::string path =
+      scratch_dir() + "/test_trace_out_" + std::to_string(getpid()) + ".json";
   ASSERT_TRUE(Trace::write(path));
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
   JsonParser p{content};
   EXPECT_TRUE(p.parse_document());
   EXPECT_NE(content.find("\"filed\""), std::string::npos);
